@@ -13,7 +13,7 @@
 //! * the observation (exercised by tests) that [`crate::GreedyBalance`] and
 //!   [`crate::RoundRobin`] remain feasible, work-conserving schedulers for
 //!   arbitrary volumes because they are built on the step-demand interface of
-//!   `cr_core::ScheduleBuilder`.
+//!   `cr_core::MultiStepper`.
 
 use cr_core::{Instance, Job, Ratio};
 

@@ -9,16 +9,15 @@
 //! (Definition 5), and therefore achieve the worst-case approximation ratio
 //! of exactly `2 − 1/m` proven in Theorems 7 and 8.
 
-use crate::scaled_sched::serve_units_in_order;
+use crate::multi_sched::{self, PolyKind};
 use crate::traits::Scheduler;
-use cr_core::{Instance, Ratio, ScaledScheduleBuilder, Schedule, ScheduleBuilder};
+use cr_core::{Instance, Schedule};
 
 /// The `(2 − 1/m)`-approximation algorithm of the paper.
 ///
-/// The production path runs on the scaled-integer grid
-/// ([`ScaledScheduleBuilder`]); [`GreedyBalance::schedule_rational`] is the
-/// retained exact-[`Ratio`] reference (identical output), which also serves
-/// as the fallback for instances whose unit grid overflows `u64`.
+/// It runs on the shared step rules of the crate's `multi_sched` module:
+/// on the `u64` unit grid when the instance's grid fits, in exact
+/// [`Ratio`](cr_core::Ratio) arithmetic otherwise, with identical output.
 ///
 /// # Examples
 ///
@@ -39,70 +38,6 @@ impl GreedyBalance {
     pub fn new() -> Self {
         GreedyBalance
     }
-
-    /// Computes the priority order of active processors for the next step of
-    /// `builder`: more remaining jobs first, larger remaining requirement of
-    /// the active job second, processor index last (for determinism).
-    fn priority_order(builder: &ScheduleBuilder<'_>) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..builder.processors())
-            .filter(|&i| builder.is_active(i))
-            .collect();
-        order.sort_by(|&a, &b| {
-            builder
-                .unfinished_jobs(b)
-                .cmp(&builder.unfinished_jobs(a))
-                .then_with(|| {
-                    builder
-                        .remaining_workload(b)
-                        .cmp(&builder.remaining_workload(a))
-                })
-                .then_with(|| a.cmp(&b))
-        });
-        order
-    }
-
-    /// The same priority order computed on the scaled builder (unit
-    /// comparisons instead of rational cross-multiplications).
-    fn scaled_priority_order(builder: &ScaledScheduleBuilder<'_>) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..builder.processors())
-            .filter(|&i| builder.is_active(i))
-            .collect();
-        order.sort_by(|&a, &b| {
-            builder
-                .unfinished_jobs(b)
-                .cmp(&builder.unfinished_jobs(a))
-                .then_with(|| {
-                    builder
-                        .remaining_workload_units(b)
-                        .cmp(&builder.remaining_workload_units(a))
-                })
-                .then_with(|| a.cmp(&b))
-        });
-        order
-    }
-
-    /// The exact-rational reference implementation of
-    /// [`Scheduler::schedule`] (identical output).
-    #[must_use]
-    pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
-        let m = instance.processors();
-        let mut builder = ScheduleBuilder::new(instance);
-        while !builder.all_done() {
-            let order = Self::priority_order(&builder);
-            let mut shares = vec![Ratio::ZERO; m];
-            let mut left = Ratio::ONE;
-            for i in order {
-                if left.is_zero() {
-                    break;
-                }
-                let give = builder.step_demand(i).min(left);
-                shares[i] = give;
-                left -= give;
-            }
-            builder.push_step(shares);
-        }
-        builder.finish()
-    }
 }
 
 impl Scheduler for GreedyBalance {
@@ -111,14 +46,7 @@ impl Scheduler for GreedyBalance {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        let Some(mut builder) = ScaledScheduleBuilder::try_new(instance) else {
-            return self.schedule_rational(instance);
-        };
-        while !builder.all_done() {
-            let order = Self::scaled_priority_order(&builder);
-            serve_units_in_order(&mut builder, &order);
-        }
-        builder.finish()
+        multi_sched::schedule(PolyKind::GreedyBalance, instance)
     }
 }
 

@@ -17,75 +17,25 @@
 //!   remaining requirement (maximizes the number of jobs finished per step;
 //!   this is the schedule depicted in Figure 1 of the paper).
 //!
-//! # Exact splits on the scaled grid
+//! All four run on the shared step rules in the crate's `multi_sched`
+//! module, like [`GreedyBalance`](crate::GreedyBalance) and
+//! [`RoundRobin`](crate::RoundRobin).
 //!
-//! The splitting heuristics run on a
-//! [`cr_core::ScaledScheduleBuilder`]: the resource is
-//! a pool of `D` integer units (`D` = the instance's requirement/workload
-//! denominator LCM), and uniform / demand-proportional splits are computed
-//! exactly with deterministic largest-remainder rounding
-//! ([`cr_core::scaled::largest_remainder_split`]).  Shares therefore always
-//! sum to exactly one pool — no sliver is wasted, and a positive demand is
-//! only ever given zero units when the whole pool went to other positive
-//! demands.  (The previous implementation floored every share onto a fixed
-//! `1/100 000` grid, which could quantize a small positive `demand/total` to
-//! a *zero* share and starve a core indefinitely.)  Each heuristic retains a
-//! `schedule_rational` reference implementation computing the identical
-//! split in exact [`Ratio`] arithmetic, cross-checked by the
-//! `proptest_scaled_sched` suite; it doubles as the fallback for instances
-//! whose unit grid overflows `u64` (where it splits exactly, without grid
-//! quantization, at the cost of growing denominators).
+//! # Exact splits on the unit grid
+//!
+//! The splitting heuristics divide the resource as a pool of `D` integer
+//! units (`D` = the instance's requirement/workload denominator LCM, see
+//! [`cr_core::scaled::layer_grid`]), with deterministic largest-remainder
+//! rounding ([`cr_core::scaled::largest_remainder_split`]).  Shares
+//! therefore always sum to exactly one pool — no sliver is wasted, and a
+//! positive demand is only ever given zero units when the whole pool went
+//! to other positive demands, so no core starves.  The exact
+//! [`Ratio`](cr_core::Ratio) engine applies the same split on the same
+//! grid, and divides exactly only when the grid overflows `u64`.
 
-use crate::scaled_sched::serve_units_in_order;
+use crate::multi_sched::{self, PolyKind};
 use crate::traits::Scheduler;
-use cr_core::scaled::{largest_remainder_split, largest_remainder_split_ratio, schedule_unit_grid};
-use cr_core::{Instance, Ratio, ScaledScheduleBuilder, Schedule, ScheduleBuilder};
-
-/// The unit grid of `instance` as an `i128`, if representable (see
-/// [`schedule_unit_grid`]).
-fn unit_grid(instance: &Instance) -> Option<i128> {
-    schedule_unit_grid(instance).map(i128::from)
-}
-
-/// Splits the full unit pool proportionally to `weights` in exact rational
-/// arithmetic: largest-remainder rounding on the instance grid when one is
-/// representable, the exact (unquantized) proportional split otherwise.
-/// Callers guarantee at least one positive weight.
-fn split_unit_pool(grid: Option<i128>, weights: &[Ratio]) -> Vec<Ratio> {
-    match grid {
-        Some(grid) => largest_remainder_split_ratio(grid, weights),
-        None => {
-            let total: Ratio = weights.iter().sum();
-            weights.iter().map(|&w| w / total).collect()
-        }
-    }
-}
-
-/// Splits the instance of `builder` uniformly over its currently active
-/// processors and advances one step.
-fn push_equal_step(builder: &mut ScaledScheduleBuilder<'_>) {
-    let weights: Vec<u64> = (0..builder.processors())
-        .map(|i| u64::from(builder.is_active(i)))
-        .collect();
-    let shares = largest_remainder_split(builder.capacity(), &weights);
-    builder.push_step(shares);
-}
-
-/// Splits the instance of `builder` proportionally to the active jobs' step
-/// demands and advances one step.  When the demands fit the pool they are
-/// granted exactly.
-fn push_proportional_step(builder: &mut ScaledScheduleBuilder<'_>) {
-    let demands: Vec<u64> = (0..builder.processors())
-        .map(|i| builder.step_demand_units(i))
-        .collect();
-    let total: u128 = demands.iter().map(|&d| u128::from(d)).sum();
-    let shares = if total <= u128::from(builder.capacity()) {
-        demands
-    } else {
-        largest_remainder_split(builder.capacity(), &demands)
-    };
-    builder.push_step(shares);
-}
+use cr_core::{Instance, Schedule};
 
 /// Splits the resource uniformly among all active processors.
 #[derive(Debug, Clone, Copy, Default)]
@@ -97,30 +47,6 @@ impl EqualShare {
     pub fn new() -> Self {
         EqualShare
     }
-
-    /// The exact-rational reference implementation of
-    /// [`EqualShare::schedule`] (identical output; see the module docs).
-    #[must_use]
-    pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
-        let grid = unit_grid(instance);
-        let m = instance.processors();
-        let mut builder = ScheduleBuilder::new(instance);
-        while !builder.all_done() {
-            let weights: Vec<Ratio> = (0..m)
-                .map(|i| {
-                    if builder.is_active(i) {
-                        Ratio::ONE
-                    } else {
-                        Ratio::ZERO
-                    }
-                })
-                .collect();
-            // The uniform share is handed out regardless of the jobs'
-            // demands; anything a job cannot absorb is wasted.
-            builder.push_step(split_unit_pool(grid, &weights));
-        }
-        builder.finish()
-    }
 }
 
 impl Scheduler for EqualShare {
@@ -129,15 +55,7 @@ impl Scheduler for EqualShare {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        match ScaledScheduleBuilder::try_new(instance) {
-            Some(mut builder) => {
-                while !builder.all_done() {
-                    push_equal_step(&mut builder);
-                }
-                builder.finish()
-            }
-            None => self.schedule_rational(instance),
-        }
+        multi_sched::schedule(PolyKind::EqualShare, instance)
     }
 }
 
@@ -151,28 +69,6 @@ impl ProportionalShare {
     pub fn new() -> Self {
         ProportionalShare
     }
-
-    /// The exact-rational reference implementation of
-    /// [`ProportionalShare::schedule`] (identical output; see the module
-    /// docs).
-    #[must_use]
-    pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
-        let grid = unit_grid(instance);
-        let m = instance.processors();
-        let mut builder = ScheduleBuilder::new(instance);
-        while !builder.all_done() {
-            let demands: Vec<Ratio> = (0..m).map(|i| builder.step_demand(i)).collect();
-            let total: Ratio = demands.iter().sum();
-            let shares = if total <= Ratio::ONE {
-                // Everything fits: give every job exactly what it needs.
-                demands
-            } else {
-                split_unit_pool(grid, &demands)
-            };
-            builder.push_step(shares);
-        }
-        builder.finish()
-    }
 }
 
 impl Scheduler for ProportionalShare {
@@ -181,15 +77,7 @@ impl Scheduler for ProportionalShare {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        match ScaledScheduleBuilder::try_new(instance) {
-            Some(mut builder) => {
-                while !builder.all_done() {
-                    push_proportional_step(&mut builder);
-                }
-                builder.finish()
-            }
-            None => self.schedule_rational(instance),
-        }
+        multi_sched::schedule(PolyKind::ProportionalShare, instance)
     }
 }
 
@@ -203,12 +91,15 @@ impl LargestRequirementFirst {
     pub fn new() -> Self {
         LargestRequirementFirst
     }
+}
 
-    /// The exact-rational reference implementation of
-    /// [`LargestRequirementFirst::schedule`] (identical output).
-    #[must_use]
-    pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
-        serve_in_order_rational(instance, true)
+impl Scheduler for LargestRequirementFirst {
+    fn name(&self) -> &'static str {
+        "LargestRequirementFirst"
+    }
+
+    fn schedule(&self, instance: &Instance) -> Schedule {
+        multi_sched::schedule(PolyKind::LargestRequirementFirst, instance)
     }
 }
 
@@ -224,74 +115,6 @@ impl SmallestRequirementFirst {
     pub fn new() -> Self {
         SmallestRequirementFirst
     }
-
-    /// The exact-rational reference implementation of
-    /// [`SmallestRequirementFirst::schedule`] (identical output).
-    #[must_use]
-    pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
-        serve_in_order_rational(instance, false)
-    }
-}
-
-fn serve_in_order_rational(instance: &Instance, order_desc: bool) -> Schedule {
-    let m = instance.processors();
-    let mut builder = ScheduleBuilder::new(instance);
-    while !builder.all_done() {
-        let mut order: Vec<usize> = (0..m).filter(|&i| builder.is_active(i)).collect();
-        order.sort_by(|&a, &b| {
-            let cmp = builder
-                .remaining_workload(a)
-                .cmp(&builder.remaining_workload(b));
-            let cmp = if order_desc { cmp.reverse() } else { cmp };
-            cmp.then_with(|| a.cmp(&b))
-        });
-        let mut shares = vec![Ratio::ZERO; m];
-        let mut left = Ratio::ONE;
-        for i in order {
-            if left.is_zero() {
-                break;
-            }
-            let give = builder.step_demand(i).min(left);
-            shares[i] = give;
-            left -= give;
-        }
-        builder.push_step(shares);
-    }
-    builder.finish()
-}
-
-fn serve_in_order_scaled(mut builder: ScaledScheduleBuilder<'_>, order_desc: bool) -> Schedule {
-    while !builder.all_done() {
-        let mut order: Vec<usize> = (0..builder.processors())
-            .filter(|&i| builder.is_active(i))
-            .collect();
-        order.sort_by(|&a, &b| {
-            let cmp = builder
-                .remaining_workload_units(a)
-                .cmp(&builder.remaining_workload_units(b));
-            let cmp = if order_desc { cmp.reverse() } else { cmp };
-            cmp.then_with(|| a.cmp(&b))
-        });
-        serve_units_in_order(&mut builder, &order);
-    }
-    builder.finish()
-}
-
-fn serve_in_order(instance: &Instance, order_desc: bool) -> Schedule {
-    match ScaledScheduleBuilder::try_new(instance) {
-        Some(builder) => serve_in_order_scaled(builder, order_desc),
-        None => serve_in_order_rational(instance, order_desc),
-    }
-}
-
-impl Scheduler for LargestRequirementFirst {
-    fn name(&self) -> &'static str {
-        "LargestRequirementFirst"
-    }
-
-    fn schedule(&self, instance: &Instance) -> Schedule {
-        serve_in_order(instance, true)
-    }
 }
 
 impl Scheduler for SmallestRequirementFirst {
@@ -300,16 +123,17 @@ impl Scheduler for SmallestRequirementFirst {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        serve_in_order(instance, false)
+        multi_sched::schedule(PolyKind::SmallestRequirementFirst, instance)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{registry, EnginePreference, SolveRequest};
     use cr_core::bounds;
     use cr_core::properties::{is_non_wasting, is_progressive};
-    use cr_core::{ratio, InstanceBuilder};
+    use cr_core::{ratio, InstanceBuilder, Ratio};
 
     fn sample_instances() -> Vec<Instance> {
         vec![
@@ -345,25 +169,31 @@ mod tests {
         }
     }
 
+    /// The schedule `method` produces through the registry on `engine`.
+    fn engine_schedule(method: &str, inst: &Instance, engine: EnginePreference) -> Schedule {
+        let request = SolveRequest::new(method, inst.clone())
+            .with_engine(engine)
+            .with_schedule();
+        let outcome = registry().solve(&request).expect("heuristics always solve");
+        assert_eq!(outcome.engine.as_str(), engine.as_str(), "{method}");
+        outcome.schedule.expect("the schedule was requested")
+    }
+
     #[test]
     fn scaled_and_rational_paths_agree_on_samples() {
         for inst in sample_instances() {
-            assert_eq!(
-                EqualShare::new().schedule(&inst),
-                EqualShare::new().schedule_rational(&inst)
-            );
-            assert_eq!(
-                ProportionalShare::new().schedule(&inst),
-                ProportionalShare::new().schedule_rational(&inst)
-            );
-            assert_eq!(
-                LargestRequirementFirst::new().schedule(&inst),
-                LargestRequirementFirst::new().schedule_rational(&inst)
-            );
-            assert_eq!(
-                SmallestRequirementFirst::new().schedule(&inst),
-                SmallestRequirementFirst::new().schedule_rational(&inst)
-            );
+            for method in [
+                "EqualShare",
+                "ProportionalShare",
+                "LargestRequirementFirst",
+                "SmallestRequirementFirst",
+            ] {
+                assert_eq!(
+                    engine_schedule(method, &inst, EnginePreference::Scaled),
+                    engine_schedule(method, &inst, EnginePreference::Rational),
+                    "{method} diverged on {inst}"
+                );
+            }
         }
     }
 
@@ -467,7 +297,10 @@ mod tests {
         // sliver lost to the tiny cores in step 0 → 4 steps total.
         assert_eq!(trace.makespan(), 4);
         assert_eq!(schedule.assigned_total(0), Ratio::ONE);
-        // And the same run through the rational reference is identical.
-        assert_eq!(schedule, ProportionalShare::new().schedule_rational(&inst));
+        // And the same run on the exact rational engine is identical.
+        assert_eq!(
+            schedule,
+            engine_schedule("ProportionalShare", &inst, EnginePreference::Rational)
+        );
     }
 }

@@ -37,7 +37,6 @@ pub mod opt_m;
 pub mod opt_two;
 pub mod round_robin;
 mod scaled_engine;
-mod scaled_sched;
 pub mod solver;
 mod subset_enum;
 pub mod traits;
@@ -58,8 +57,6 @@ pub use solver::{
     registry, Budget, Engine, EnginePreference, LowerBounds, Prepared, Registry, SolveError,
     SolveOutcome, SolveRequest, Solver,
 };
-#[allow(deprecated)]
-pub use traits::standard_line_up;
 pub use traits::{BoxedScheduler, Scheduler};
 
 /// Commonly used items for glob import.

@@ -32,8 +32,7 @@ use crate::scaled_engine;
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
 use crate::traits::Scheduler;
 use cr_core::{
-    CancelGate, CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule,
-    ScheduleBuilder,
+    CancelGate, CancelReason, CancelToken, Instance, MultiStepper, Ratio, ScaledInstance, Schedule,
 };
 use std::collections::HashMap;
 
@@ -442,14 +441,9 @@ impl Scheduler for OptM {
                 return scaled_engine::search_schedule(instance, &scaled, &rounds);
             }
         }
-        schedule_rational(instance)
+        // The rational reference search is the fallback.
+        schedule_from_rounds(instance, &run_search(instance))
     }
-}
-
-/// Runs the rational configuration search and reconstructs an optimal
-/// schedule (the reference / fallback path of [`OptM::schedule`]).
-pub(crate) fn schedule_rational(instance: &Instance) -> Schedule {
-    schedule_from_rounds(instance, &run_search(instance))
 }
 
 /// Reconstructs an optimal schedule from a finished rational search by
@@ -481,20 +475,23 @@ fn schedule_from_rounds(instance: &Instance, rounds: &[Vec<Node>]) -> Schedule {
 
     // Replay the decisions into an explicit resource assignment.
     let m = instance.processors();
-    let mut builder = ScheduleBuilder::new(instance);
+    let mut stepper = MultiStepper::new_rational(instance);
+    let mut shares = vec![Ratio::ZERO; m];
     // lint: allow(cancel_coverage) — bounded: replays one already-gated search round per step
     for choice in choices {
-        let mut shares = vec![Ratio::ZERO; m];
+        shares.fill(Ratio::ZERO);
         // lint: allow(cancel_coverage) — bounded: a choice finishes at most m processors
         for &i in &choice.finished {
-            shares[i] = builder.remaining_workload(i);
+            shares[i] = stepper.remaining(i, 0);
         }
         if let Some((p, amount)) = choice.partial {
             shares[p] = amount;
         }
-        builder.push_step(shares);
+        stepper.push_step(&shares);
     }
-    builder.finish()
+    let schedule = stepper.finish();
+    // lint: allow(panic_hygiene) — the exact engines run single-resource instances only
+    schedule.expect("single-resource runs finish to a schedule")
 }
 
 #[cfg(test)]

@@ -30,9 +30,7 @@
 
 use crate::scaled_engine::{ScaledDpTable, DP_BOTH, DP_FIRST, DP_SECOND};
 use crate::traits::Scheduler;
-use cr_core::{
-    CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule, ScheduleBuilder,
-};
+use cr_core::{CancelReason, CancelToken, Instance, MultiStepper, Ratio, ScaledInstance, Schedule};
 use rustc_hash::FxHashMap;
 
 /// How many rational DP cells between token checks (each cell does a few
@@ -371,27 +369,29 @@ pub(crate) fn scaled_decisions_cancellable(
 /// Replays a DP decision sequence into an explicit resource assignment,
 /// tracking the exact remaining requirement of both frontier jobs.
 pub(crate) fn replay_decisions(instance: &Instance, decisions: Vec<Decision>) -> Schedule {
-    let mut builder = ScheduleBuilder::new(instance);
+    let mut stepper = MultiStepper::new_rational(instance);
     for decision in decisions {
-        let v0 = builder.remaining_workload(0);
-        let v1 = builder.remaining_workload(1);
+        let v0 = stepper.remaining(0, 0);
+        let v1 = stepper.remaining(1, 0);
         let shares = match decision {
             Decision::AdvanceBoth => {
                 debug_assert!(v0 + v1 <= Ratio::ONE);
-                vec![v0, v1]
+                [v0, v1]
             }
             Decision::FinishFirst => {
                 let leftover = (Ratio::ONE - v0).min(v1).max(Ratio::ZERO);
-                vec![v0, leftover]
+                [v0, leftover]
             }
             Decision::FinishSecond => {
                 let leftover = (Ratio::ONE - v1).min(v0).max(Ratio::ZERO);
-                vec![leftover, v1]
+                [leftover, v1]
             }
         };
-        builder.push_step(shares);
+        stepper.push_step(&shares);
     }
-    builder.finish()
+    let schedule = stepper.finish();
+    // lint: allow(panic_hygiene) — the two-processor DP runs single-resource instances only
+    schedule.expect("single-resource runs finish to a schedule")
 }
 
 /// Back-traces the rational DP table into the forward decision sequence

@@ -11,16 +11,15 @@
 //! the factor 2 is tight (the tight family is provided by
 //! `cr-instances::worst_case::round_robin_family`).
 
-use crate::scaled_sched::serve_units_in_order;
+use crate::multi_sched::{self, PolyKind};
 use crate::traits::Scheduler;
-use cr_core::{Instance, Ratio, ScaledScheduleBuilder, Schedule, ScheduleBuilder};
+use cr_core::{Instance, Ratio, Schedule};
 
 /// The phase-based RoundRobin 2-approximation.
 ///
-/// The production path runs on the scaled-integer grid
-/// ([`ScaledScheduleBuilder`]); [`RoundRobin::schedule_rational`] is the
-/// retained exact-[`Ratio`] reference (identical output), which also serves
-/// as the fallback for instances whose unit grid overflows `u64`.
+/// It runs on the shared step rules of the crate's `multi_sched` module:
+/// on the `u64` unit grid when the instance's grid fits, in exact
+/// [`Ratio`] arithmetic otherwise, with identical output.
 ///
 /// # Examples
 ///
@@ -41,46 +40,6 @@ impl RoundRobin {
     pub fn new() -> Self {
         RoundRobin
     }
-
-    /// The exact-rational reference implementation of
-    /// [`Scheduler::schedule`] (identical output).
-    #[must_use]
-    pub fn schedule_rational(&self, instance: &Instance) -> Schedule {
-        let m = instance.processors();
-        let n = instance.max_chain_length();
-        let mut builder = ScheduleBuilder::new(instance);
-
-        for phase in 0..n {
-            // Processors participating in this phase: those whose active job
-            // is exactly the phase-th job (processors with shorter chains have
-            // already run out of jobs).
-            loop {
-                let participants: Vec<usize> = (0..m)
-                    .filter(|&i| {
-                        builder
-                            .active_job(i)
-                            .map(|id| id.index == phase)
-                            .unwrap_or(false)
-                    })
-                    .collect();
-                if participants.is_empty() {
-                    break;
-                }
-                let mut shares = vec![Ratio::ZERO; m];
-                let mut left = Ratio::ONE;
-                for i in participants {
-                    if left.is_zero() {
-                        break;
-                    }
-                    let give = builder.step_demand(i).min(left);
-                    shares[i] = give;
-                    left -= give;
-                }
-                builder.push_step(shares);
-            }
-        }
-        builder.finish()
-    }
 }
 
 impl Scheduler for RoundRobin {
@@ -89,27 +48,7 @@ impl Scheduler for RoundRobin {
     }
 
     fn schedule(&self, instance: &Instance) -> Schedule {
-        let Some(mut builder) = ScaledScheduleBuilder::try_new(instance) else {
-            return self.schedule_rational(instance);
-        };
-        let m = instance.processors();
-        for phase in 0..instance.max_chain_length() {
-            loop {
-                let participants: Vec<usize> = (0..m)
-                    .filter(|&i| {
-                        builder
-                            .active_job(i)
-                            .map(|id| id.index == phase)
-                            .unwrap_or(false)
-                    })
-                    .collect();
-                if participants.is_empty() {
-                    break;
-                }
-                serve_units_in_order(&mut builder, &participants);
-            }
-        }
-        builder.finish()
+        multi_sched::schedule(PolyKind::RoundRobin, instance)
     }
 }
 

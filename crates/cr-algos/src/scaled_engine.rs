@@ -35,8 +35,7 @@
 
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
 use cr_core::{
-    CancelGate, CancelReason, CancelToken, Instance, Ratio, ScaledInstance, Schedule,
-    ScheduleBuilder,
+    CancelGate, CancelReason, CancelToken, Instance, MultiStepper, Ratio, ScaledInstance, Schedule,
 };
 use rayon::prelude::*;
 use rustc_hash::FxHashSet;
@@ -510,8 +509,8 @@ pub(crate) fn search_makespan(scaled: &ScaledInstance, rounds: &[Vec<ScaledNode>
 
 /// Reconstructs an optimal schedule from a finished configuration search by
 /// back-tracing the winner and replaying the per-step decisions through the
-/// exact `Ratio`-based [`ScheduleBuilder`] (the scaled units convert back
-/// losslessly via [`ScaledInstance::to_ratio`]).
+/// exact [`Ratio`] stepper (the scaled units convert back losslessly via
+/// [`ScaledInstance::to_ratio`]).
 pub(crate) fn search_schedule(
     instance: &Instance,
     scaled: &ScaledInstance,
@@ -541,20 +540,23 @@ pub(crate) fn search_schedule(
     choices.reverse();
 
     let m = scaled.processors();
-    let mut builder = ScheduleBuilder::new(instance);
+    let mut stepper = MultiStepper::new_rational(instance);
+    let mut shares = vec![Ratio::ZERO; m];
     // lint: allow(cancel_coverage) — bounded: replays one already-gated search round per step
     for choice in choices {
-        let mut shares = vec![Ratio::ZERO; m];
+        shares.fill(Ratio::ZERO);
         // lint: allow(cancel_coverage) — bounded: a choice finishes at most m processors
         for &p in choice.finished.iter() {
-            shares[p as usize] = builder.remaining_workload(p as usize);
+            shares[p as usize] = stepper.remaining(p as usize, 0);
         }
         if let Some((p, amount)) = choice.partial {
             shares[p as usize] = scaled.to_ratio(amount);
         }
-        builder.push_step(shares);
+        stepper.push_step(&shares);
     }
-    builder.finish()
+    let schedule = stepper.finish();
+    // lint: allow(panic_hygiene) — the exact engines run single-resource instances only
+    schedule.expect("single-resource runs finish to a schedule")
 }
 
 /// Memoized exhaustive search (the brute-force reference) on the scaled

@@ -1,7 +1,7 @@
 //! The unified, fallible `Solve` surface over every algorithm in this crate.
 //!
 //! Historically each algorithm family had its own entry points: the
-//! infallible [`Scheduler`] trait for the polynomial schedulers, free
+//! infallible [`Scheduler`](crate::Scheduler) trait for the polynomial schedulers, free
 //! functions (`opt_m_makespan` / `try_opt_m_makespan` /
 //! `opt_m_makespan_rational`, and the `opt_two_*` / `brute_force_*` twins)
 //! for the exact engines, and ad-hoc bound helpers.  This module replaces
@@ -19,9 +19,7 @@
 //! * [`Solver`] — `fn solve(&SolveRequest) -> Result<SolveOutcome,
 //!   SolveError>`, implemented by every heuristic, both exact engines and
 //!   the bounds-only evaluator;
-//! * [`registry`] — the string-keyed line-up of all offline solvers,
-//!   superseding [`standard_line_up`](crate::standard_line_up) (which is
-//!   kept as a thin deprecated shim).
+//! * [`registry`] — the string-keyed line-up of all offline solvers.
 //!
 //! # Engine preference and fallback contract
 //!
@@ -84,11 +82,11 @@ use crate::opt_m;
 use crate::opt_two;
 use crate::round_robin::RoundRobin;
 use crate::scaled_engine::{self, SearchError};
-use crate::traits::Scheduler;
 use crate::OptM;
 use crate::OptTwo;
+use cr_core::scaled::layer_grid;
 use cr_core::{
-    bounds, CancelReason, CancelToken, Instance, ScaledInstance, ScaledScheduleBuilder, Schedule,
+    bounds, CancelReason, CancelToken, Instance, MultiStepper, ScaledInstance, Schedule,
     ScheduleError, SchedulingGraph,
 };
 use std::fmt;
@@ -572,8 +570,9 @@ impl From<ScheduleError> for SolveError {
 pub struct Prepared {
     /// The exact engines' scaled conversion (`None`: grid overflows `u64`).
     pub scaled: Option<Arc<ScaledInstance>>,
-    /// Whether the scheduling layer's (requirement × workload) unit grid is
-    /// representable — the gate the polynomial schedulers route on.
+    /// Whether every resource layer's scheduling grid
+    /// ([`layer_grid`]) fits `u64` — the gate the polynomial schedulers
+    /// route on.
     pub sched_scaled: bool,
     /// Instance-only lower bounds ([`LowerBounds::best`] left `None`).
     pub lower_bounds: LowerBounds,
@@ -585,7 +584,7 @@ impl Prepared {
     pub fn new(instance: &Instance) -> Self {
         Prepared {
             scaled: ScaledInstance::try_new(instance).map(Arc::new),
-            sched_scaled: ScaledScheduleBuilder::try_new(instance).is_some(),
+            sched_scaled: (0..instance.resources()).all(|r| layer_grid(instance, r).is_some()),
             lower_bounds: LowerBounds::compute(instance),
         }
     }
@@ -712,55 +711,68 @@ fn reject_multi_schedule(method: &str, request: &SolveRequest) -> Result<(), Sol
     Ok(())
 }
 
-/// The shared engine-routing contract of the scheduling-layer methods:
-/// picks the scaled or rational schedule producer per the preference and
-/// the grid viability, recording any `Auto` fallback taken.
-fn route_schedule(
-    method: &str,
-    engine: EnginePreference,
-    sched_scaled: bool,
-    scaled_schedule: &dyn Fn() -> Schedule,
-    rational_schedule: &dyn Fn() -> Schedule,
-) -> Result<(Engine, Vec<String>, Schedule), SolveError> {
-    match engine {
-        EnginePreference::Scaled => {
-            if !sched_scaled {
-                return Err(SolveError::GridOverflow {
-                    method: method.to_string(),
-                });
-            }
-            Ok((Engine::Scaled, Vec::new(), scaled_schedule()))
-        }
-        EnginePreference::Rational => Ok((Engine::Rational, Vec::new(), rational_schedule())),
-        EnginePreference::Auto => {
-            if sched_scaled {
-                Ok((Engine::Scaled, Vec::new(), scaled_schedule()))
-            } else {
-                Ok((
-                    Engine::Rational,
-                    vec![grid_fallback_note()],
-                    rational_schedule(),
-                ))
-            }
-        }
+/// The failure of an `EnginePreference::Scaled` request whose grid does not
+/// fit: [`SolveError::GridOverflow`] at `k = 1`,
+/// [`SolveError::ResourceOverflow`] for multi-resource instances.
+fn overflow_error(method: &str, instance: &Instance) -> SolveError {
+    let method = method.to_string();
+    if instance.resources() > 1 {
+        SolveError::ResourceOverflow { method }
+    } else {
+        SolveError::GridOverflow { method }
     }
 }
 
-/// Shared solve logic of the six polynomial schedulers: engine routing over
-/// the (scaled schedule, rational schedule) pair, feasibility validation and
-/// budget enforcement.  `max_rounds` does not apply (there is no search);
-/// only `max_steps` is enforced.
-///
-/// Multi-resource (`k ≥ 2`) instances route to the per-resource runners in
-/// [`multi_sched`] instead; the scalar schedulers below stay the `k = 1`
-/// production fast path untouched.
+/// The note an `Auto` request records when it falls back to the rational
+/// core, worded by resource count.
+fn fallback_note(instance: &Instance) -> String {
+    if instance.resources() > 1 {
+        multi_grid_fallback_note()
+    } else {
+        grid_fallback_note()
+    }
+}
+
+/// The shared engine-routing contract of the scheduling-layer methods: runs
+/// `kind` on the `u64` stepper when the preference allows it and every
+/// grid fits, on the [`cr_core::Ratio`] stepper otherwise, recording any
+/// `Auto` fallback taken.  Returns the engine, the fallbacks, the step
+/// count and (at `k = 1`) the schedule.
+fn route_schedule(
+    method: &str,
+    kind: PolyKind,
+    engine: EnginePreference,
+    prepared: &Prepared,
+    instance: &Instance,
+) -> Result<(Engine, Vec<String>, usize, Option<Schedule>), SolveError> {
+    let scaled = match engine {
+        EnginePreference::Rational => None,
+        _ if !prepared.sched_scaled => None,
+        _ => MultiStepper::try_new_scaled(instance),
+    };
+    let fallbacks = match (engine, scaled) {
+        (_, Some(stepper)) => {
+            let (steps, schedule) = multi_sched::run(kind, stepper);
+            return Ok((Engine::Scaled, Vec::new(), steps, schedule));
+        }
+        (EnginePreference::Scaled, None) => return Err(overflow_error(method, instance)),
+        (EnginePreference::Auto, None) => vec![fallback_note(instance)],
+        (EnginePreference::Rational, None) => Vec::new(),
+    };
+    let (steps, schedule) = multi_sched::run(kind, MultiStepper::new_rational(instance));
+    Ok((Engine::Rational, fallbacks, steps, schedule))
+}
+
+/// Shared solve logic of the six polynomial schedulers, for every resource
+/// count: engine routing, feasibility validation and budget enforcement.
+/// `max_rounds` does not apply (there is no search); only `max_steps` is
+/// enforced.  At `k = 1` the schedule is always built and validated; a
+/// multi-resource run is makespan-only.
 fn solve_polynomial(
     method: &str,
     kind: PolyKind,
     request: &SolveRequest,
     prepared: &Prepared,
-    scaled_schedule: &dyn Fn(&Instance) -> Schedule,
-    rational_schedule: &dyn Fn(&Instance) -> Schedule,
 ) -> Result<SolveOutcome, SolveError> {
     reject_arrivals(method, request)?;
     precheck_cap(
@@ -769,66 +781,15 @@ fn solve_polynomial(
         request.budget.max_steps,
         &prepared.lower_bounds,
     )?;
-    if request.instance.resources() > 1 {
-        return solve_polynomial_multi(method, kind, request, prepared);
+    let instance = &request.instance;
+    if instance.resources() > 1 {
+        reject_multi_schedule(method, request)?;
     }
-    let instance = &request.instance;
-    let (engine, fallbacks, schedule) = route_schedule(
-        method,
-        request.engine,
-        prepared.sched_scaled,
-        &|| scaled_schedule(instance),
-        &|| rational_schedule(instance),
-    )?;
-    let makespan = schedule.makespan(instance)?;
-    check_steps_budget(method, &request.budget, makespan)?;
-    Ok(SolveOutcome {
-        method: method.to_string(),
-        engine,
-        fallbacks,
-        makespan: Some(makespan),
-        steps: schedule.num_steps(),
-        rounds: 0,
-        schedule: request.want_schedule.then_some(schedule),
-        lower_bounds: prepared.lower_bounds,
-    })
-}
-
-/// The multi-resource (`k ≥ 2`) polynomial path: runs the heuristic's
-/// per-resource share rule on the [`cr_core::MultiStepper`] and reports the
-/// makespan.  Schedules are not produced ([`SolveError::ResourceMismatch`]);
-/// the engine preference routes between the per-layer scaled grids and the
-/// exact rational stepper with the usual `Auto` fallback contract.
-fn solve_polynomial_multi(
-    method: &str,
-    kind: PolyKind,
-    request: &SolveRequest,
-    prepared: &Prepared,
-) -> Result<SolveOutcome, SolveError> {
-    reject_multi_schedule(method, request)?;
-    let instance = &request.instance;
-    let (engine, fallbacks, makespan) = match request.engine {
-        EnginePreference::Scaled => match multi_sched::multi_makespan_scaled(kind, instance) {
-            Some(value) => (Engine::Scaled, Vec::new(), value),
-            None => {
-                return Err(SolveError::ResourceOverflow {
-                    method: method.to_string(),
-                })
-            }
-        },
-        EnginePreference::Rational => (
-            Engine::Rational,
-            Vec::new(),
-            multi_sched::multi_makespan_rational(kind, instance),
-        ),
-        EnginePreference::Auto => match multi_sched::multi_makespan_scaled(kind, instance) {
-            Some(value) => (Engine::Scaled, Vec::new(), value),
-            None => (
-                Engine::Rational,
-                vec![multi_grid_fallback_note()],
-                multi_sched::multi_makespan_rational(kind, instance),
-            ),
-        },
+    let (engine, fallbacks, steps, schedule) =
+        route_schedule(method, kind, request.engine, prepared, instance)?;
+    let makespan = match &schedule {
+        Some(schedule) => schedule.makespan(instance)?,
+        None => steps,
     };
     check_steps_budget(method, &request.budget, makespan)?;
     Ok(SolveOutcome {
@@ -836,9 +797,9 @@ fn solve_polynomial_multi(
         engine,
         fallbacks,
         makespan: Some(makespan),
-        steps: makespan,
+        steps,
         rounds: 0,
-        schedule: None,
+        schedule: schedule.filter(|_| request.want_schedule),
         lower_bounds: prepared.lower_bounds,
     })
 }
@@ -927,44 +888,25 @@ fn solve_exact_multi(
 }
 
 macro_rules! impl_polynomial_solver {
-    ($ty:ty, $name:literal, $kind:expr) => {
+    ($ty:ty, $kind:ident) => {
         impl Solver for $ty {
             fn solve_prepared(
                 &self,
                 request: &SolveRequest,
                 prepared: &Prepared,
             ) -> Result<SolveOutcome, SolveError> {
-                solve_polynomial(
-                    $name,
-                    $kind,
-                    request,
-                    prepared,
-                    &|i| Scheduler::schedule(self, i),
-                    &|i| self.schedule_rational(i),
-                )
+                solve_polynomial(stringify!($kind), PolyKind::$kind, request, prepared)
             }
         }
     };
 }
 
-impl_polynomial_solver!(GreedyBalance, "GreedyBalance", PolyKind::GreedyBalance);
-impl_polynomial_solver!(RoundRobin, "RoundRobin", PolyKind::RoundRobin);
-impl_polynomial_solver!(EqualShare, "EqualShare", PolyKind::EqualShare);
-impl_polynomial_solver!(
-    ProportionalShare,
-    "ProportionalShare",
-    PolyKind::ProportionalShare
-);
-impl_polynomial_solver!(
-    LargestRequirementFirst,
-    "LargestRequirementFirst",
-    PolyKind::LargestRequirementFirst
-);
-impl_polynomial_solver!(
-    SmallestRequirementFirst,
-    "SmallestRequirementFirst",
-    PolyKind::SmallestRequirementFirst
-);
+impl_polynomial_solver!(GreedyBalance, GreedyBalance);
+impl_polynomial_solver!(RoundRobin, RoundRobin);
+impl_polynomial_solver!(EqualShare, EqualShare);
+impl_polynomial_solver!(ProportionalShare, ProportionalShare);
+impl_polynomial_solver!(LargestRequirementFirst, LargestRequirementFirst);
+impl_polynomial_solver!(SmallestRequirementFirst, SmallestRequirementFirst);
 
 /// Validates the unit-size precondition of the exact engines.
 fn require_unit(method: &str, instance: &Instance) -> Result<(), SolveError> {
@@ -1310,14 +1252,15 @@ impl Solver for BoundsOnly {
                 lower_bounds,
             });
         }
-        let greedy = GreedyBalance::new();
-        let (engine, fallbacks, schedule) = route_schedule(
+        let (engine, fallbacks, _, schedule) = route_schedule(
             METHOD,
+            PolyKind::GreedyBalance,
             request.engine,
-            prepared.sched_scaled,
-            &|| Scheduler::schedule(&greedy, instance),
-            &|| greedy.schedule_rational(instance),
+            prepared,
+            instance,
         )?;
+        // lint: allow(panic_hygiene) — multi-resource requests returned above, and k = 1 runs finish to a schedule
+        let schedule = schedule.expect("single-resource runs finish to a schedule");
         let trace = schedule.trace(instance)?;
         let graph = SchedulingGraph::build(instance, &trace);
         let mut lower_bounds = prepared.lower_bounds;
@@ -1456,8 +1399,8 @@ impl Registry {
 /// The standard offline line-up: the six polynomial schedulers, both exact
 /// engines, the exhaustive reference and the bounds-only evaluator.
 ///
-/// Supersedes [`standard_line_up`](crate::standard_line_up); the online
-/// simulator methods register on top via `cr_sim::register_online`.
+/// The online simulator methods register on top via
+/// `cr_sim::register_online`.
 #[must_use]
 pub fn registry() -> Registry {
     let mut r = Registry::new();

@@ -40,7 +40,7 @@
 //! mask scan enumerated those dominated variants only to throw them away,
 //! at cost `2^z` for `z` zero-requirement frontiers.  Skipping them keeps
 //! wide instances with many idle-requirement processors tractable and
-//! matches the exact [`ScheduleBuilder`](cr_core::ScheduleBuilder) replay
+//! matches the exact [`MultiStepper`](cr_core::MultiStepper) replay
 //! semantics, which advances zero-requirement frontiers every step
 //! regardless of their share.
 

@@ -20,7 +20,7 @@ pub trait Scheduler {
     ///
     /// Implementations must return a schedule that completes every job and
     /// never overuses the resource; this is enforced by the
-    /// `cr_core::ScheduleBuilder` they are built on.
+    /// `cr_core::MultiStepper` they are built on.
     fn schedule(&self, instance: &Instance) -> Schedule;
 
     /// The makespan of the schedule this algorithm produces, validated
@@ -56,44 +56,37 @@ pub trait Scheduler {
 /// benchmark harness.
 pub type BoxedScheduler = Box<dyn Scheduler + Send + Sync>;
 
-/// Returns the full line-up of polynomial-time schedulers implemented in this
-/// crate (the exact exponential/DP algorithms are excluded because they do
-/// not scale to arbitrary instances).
-#[deprecated(
-    since = "0.1.0",
-    note = "use cr_algos::solver::registry() — the string-keyed solver registry with \
-            engine preferences, budgets and structured errors"
-)]
-#[must_use]
-pub fn standard_line_up() -> Vec<BoxedScheduler> {
-    vec![
-        Box::new(crate::greedy_balance::GreedyBalance::new()),
-        Box::new(crate::round_robin::RoundRobin::new()),
-        Box::new(crate::heuristics::EqualShare::new()),
-        Box::new(crate::heuristics::ProportionalShare::new()),
-        Box::new(crate::heuristics::LargestRequirementFirst::new()),
-        Box::new(crate::heuristics::SmallestRequirementFirst::new()),
-    ]
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::solver::POLY_METHODS;
     use cr_core::Ratio;
+
+    /// The six polynomial schedulers, in the registry's `POLY_METHODS`
+    /// order.
+    fn line_up() -> Vec<BoxedScheduler> {
+        vec![
+            Box::new(crate::greedy_balance::GreedyBalance::new()),
+            Box::new(crate::round_robin::RoundRobin::new()),
+            Box::new(crate::heuristics::EqualShare::new()),
+            Box::new(crate::heuristics::ProportionalShare::new()),
+            Box::new(crate::heuristics::LargestRequirementFirst::new()),
+            Box::new(crate::heuristics::SmallestRequirementFirst::new()),
+        ]
+    }
 
     #[test]
     fn line_up_contains_paper_algorithms() {
-        let names: Vec<&str> = standard_line_up().iter().map(|s| s.name()).collect();
+        let names: Vec<&str> = line_up().iter().map(|s| s.name()).collect();
+        assert_eq!(names, POLY_METHODS);
         assert!(names.contains(&"GreedyBalance"));
         assert!(names.contains(&"RoundRobin"));
-        assert!(names.len() >= 4);
     }
 
     #[test]
     fn all_line_up_schedulers_produce_feasible_schedules() {
         let inst = Instance::unit_from_percentages(&[&[60, 30, 10], &[50, 50], &[90]]);
-        for s in standard_line_up() {
+        for s in line_up() {
             let schedule = s.schedule(&inst);
             let trace = schedule.trace(&inst).unwrap();
             assert!(trace.makespan() >= 2, "{} too fast", s.name());
@@ -108,7 +101,7 @@ mod tests {
     #[test]
     fn try_makespan_matches_the_panicking_wrapper() {
         let inst = Instance::unit_from_percentages(&[&[60, 30, 10], &[50, 50], &[90]]);
-        for s in standard_line_up() {
+        for s in line_up() {
             assert_eq!(s.try_makespan(&inst).unwrap(), s.makespan(&inst));
         }
     }

@@ -1,17 +1,19 @@
-//! Property tests pinning the scaled scheduling layer (ISSUE-3) to the
-//! retained rational reference paths, in the style of `proptest_scaled`.
+//! Property tests pinning the scheduling layer's two engines to each other,
+//! in the style of `proptest_scaled`.
 //!
 //! Instances are generated on a random grid `1/den` including the 0% and
 //! 100% extremes (plus fractional volumes for the arbitrary-size variants);
-//! on every instance the scaled production path and the `schedule_rational`
-//! reference of GreedyBalance, RoundRobin and all four heuristics must
-//! produce **bit-identical schedules** (which implies equal makespans), every
+//! on every instance the registry's answers for the six polynomial
+//! schedulers and `Bounds` under `EnginePreference::Scaled` (the `u64`
+//! stepper) and `EnginePreference::Rational` (the exact `Ratio` stepper)
+//! must be **identical** — schedules, makespans and bounds — every
 //! schedule must be feasible, and GreedyBalance must stay non-wasting
 //! (Definition 5) and balanced.
 
+use cr_algos::solver::POLY_METHODS;
 use cr_algos::{
-    EqualShare, GreedyBalance, LargestRequirementFirst, ProportionalShare, RoundRobin, Scheduler,
-    SmallestRequirementFirst,
+    registry, Engine, EnginePreference, EqualShare, GreedyBalance, ProportionalShare, Scheduler,
+    SolveRequest,
 };
 use cr_core::properties::{is_balanced, is_non_wasting, is_progressive};
 use cr_core::{Instance, Job, Ratio};
@@ -53,21 +55,38 @@ fn sized_instance_from(den: u64, rows: &[Vec<(u64, u64)>]) -> Instance {
     Instance::new(jobs).expect("generated instance is valid")
 }
 
-/// Asserts one scheduler's scaled production path against its rational
-/// reference and the model's feasibility constraints.
-fn assert_paths_agree(
-    name: &str,
-    instance: &Instance,
-    scaled: &cr_core::Schedule,
-    rational: &cr_core::Schedule,
-) -> Result<(), TestCaseError> {
-    prop_assert!(scaled == rational, "{} paths diverged", name);
-    let trace = scaled.trace(instance).expect("feasible schedule");
-    prop_assert!(
-        trace.makespan() == rational.makespan(instance).unwrap(),
-        "{} makespans diverged",
-        name
-    );
+/// Asserts that every polynomial scheduler and `Bounds` answer `instance`
+/// identically on the scaled and the rational engine, with feasible
+/// schedules.
+fn assert_engines_agree(instance: &Instance) -> Result<(), TestCaseError> {
+    let registry = registry();
+    for method in POLY_METHODS.into_iter().chain(["Bounds"]) {
+        let solve = |engine| {
+            let request = SolveRequest::new(method, instance.clone())
+                .with_engine(engine)
+                .with_schedule();
+            registry.solve(&request).expect("the grid fits and k = 1")
+        };
+        let scaled = solve(EnginePreference::Scaled);
+        let rational = solve(EnginePreference::Rational);
+        prop_assert_eq!(scaled.engine, Engine::Scaled);
+        prop_assert_eq!(rational.engine, Engine::Rational);
+        prop_assert!(
+            scaled.schedule == rational.schedule,
+            "{} schedules diverged",
+            method
+        );
+        prop_assert!(
+            scaled.makespan == rational.makespan,
+            "{} makespans diverged",
+            method
+        );
+        prop_assert_eq!(scaled.steps, rational.steps);
+        prop_assert_eq!(scaled.lower_bounds, rational.lower_bounds);
+        if let Some(schedule) = &scaled.schedule {
+            prop_assert_eq!(Some(schedule.makespan(instance).unwrap()), scaled.makespan);
+        }
+    }
     Ok(())
 }
 
@@ -79,43 +98,7 @@ proptest! {
         den in 1u64..=48,
         rows in prop::collection::vec(prop::collection::vec(0u64..=100, 1..=6), 1..=4),
     ) {
-        let inst = instance_from(den, &rows);
-        assert_paths_agree(
-            "GreedyBalance",
-            &inst,
-            &GreedyBalance::new().schedule(&inst),
-            &GreedyBalance::new().schedule_rational(&inst),
-        )?;
-        assert_paths_agree(
-            "RoundRobin",
-            &inst,
-            &RoundRobin::new().schedule(&inst),
-            &RoundRobin::new().schedule_rational(&inst),
-        )?;
-        assert_paths_agree(
-            "EqualShare",
-            &inst,
-            &EqualShare::new().schedule(&inst),
-            &EqualShare::new().schedule_rational(&inst),
-        )?;
-        assert_paths_agree(
-            "ProportionalShare",
-            &inst,
-            &ProportionalShare::new().schedule(&inst),
-            &ProportionalShare::new().schedule_rational(&inst),
-        )?;
-        assert_paths_agree(
-            "LargestRequirementFirst",
-            &inst,
-            &LargestRequirementFirst::new().schedule(&inst),
-            &LargestRequirementFirst::new().schedule_rational(&inst),
-        )?;
-        assert_paths_agree(
-            "SmallestRequirementFirst",
-            &inst,
-            &SmallestRequirementFirst::new().schedule(&inst),
-            &SmallestRequirementFirst::new().schedule_rational(&inst),
-        )?;
+        assert_engines_agree(&instance_from(den, &rows))?;
     }
 
     #[test]
@@ -126,31 +109,7 @@ proptest! {
             1..=4,
         ),
     ) {
-        let inst = sized_instance_from(den, &rows);
-        assert_paths_agree(
-            "GreedyBalance",
-            &inst,
-            &GreedyBalance::new().schedule(&inst),
-            &GreedyBalance::new().schedule_rational(&inst),
-        )?;
-        assert_paths_agree(
-            "RoundRobin",
-            &inst,
-            &RoundRobin::new().schedule(&inst),
-            &RoundRobin::new().schedule_rational(&inst),
-        )?;
-        assert_paths_agree(
-            "EqualShare",
-            &inst,
-            &EqualShare::new().schedule(&inst),
-            &EqualShare::new().schedule_rational(&inst),
-        )?;
-        assert_paths_agree(
-            "ProportionalShare",
-            &inst,
-            &ProportionalShare::new().schedule(&inst),
-            &ProportionalShare::new().schedule_rational(&inst),
-        )?;
+        assert_engines_agree(&sized_instance_from(den, &rows))?;
     }
 
     /// GreedyBalance's structural guarantees survive the move to the scaled

@@ -142,8 +142,9 @@ mod tests {
     use super::*;
     use crate::instance::{Instance, InstanceBuilder};
     use crate::job::Job;
+    use crate::multi::MultiStepper;
     use crate::rational::{ratio, Ratio};
-    use crate::schedule::{Schedule, ScheduleBuilder};
+    use crate::schedule::Schedule;
 
     fn fig1_instance() -> Instance {
         Instance::unit_from_percentages(&[&[20, 10, 10, 10], &[50, 55, 90, 55, 10], &[50, 40, 95]])
@@ -152,20 +153,20 @@ mod tests {
     fn greedy_fewest_left(inst: &Instance) -> Schedule {
         // Serve active jobs in order of increasing remaining requirement.
         let m = inst.processors();
-        let mut b = ScheduleBuilder::new(inst);
+        let mut b = MultiStepper::new_rational(inst);
         while !b.all_done() {
             let mut order: Vec<usize> = (0..m).filter(|&i| b.is_active(i)).collect();
-            order.sort_by_key(|&i| b.remaining_workload(i));
+            order.sort_by_key(|&i| b.remaining(i, 0));
             let mut shares = vec![Ratio::ZERO; m];
             let mut left = Ratio::ONE;
             for i in order {
-                let give = b.step_demand(i).min(left);
+                let give = b.step_demand(i, 0).min(left);
                 shares[i] = give;
                 left -= give;
             }
-            b.push_step(shares);
+            b.push_step(&shares);
         }
-        b.finish()
+        b.finish().expect("k = 1 runs finish to a schedule")
     }
 
     #[test]

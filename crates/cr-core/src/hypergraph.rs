@@ -279,8 +279,9 @@ impl SchedulingGraph {
 mod tests {
     use super::*;
     use crate::instance::Instance;
+    use crate::multi::MultiStepper;
     use crate::rational::ratio;
-    use crate::schedule::{Schedule, ScheduleBuilder};
+    use crate::schedule::Schedule;
 
     #[test]
     fn union_find_basic() {
@@ -309,23 +310,23 @@ mod tests {
     /// jobs as possible).
     fn fig1_schedule(inst: &Instance) -> Schedule {
         let m = inst.processors();
-        let mut b = ScheduleBuilder::new(inst);
+        let mut b = MultiStepper::new_rational(inst);
         while !b.all_done() {
             let mut order: Vec<usize> = (0..m).filter(|&i| b.is_active(i)).collect();
-            order.sort_by_key(|&i| b.remaining_workload(i));
+            order.sort_by_key(|&i| b.remaining(i, 0));
             let mut shares = vec![Ratio::ZERO; m];
             let mut left = Ratio::ONE;
             for i in order {
-                let give = b.step_demand(i).min(left);
+                let give = b.step_demand(i, 0).min(left);
                 shares[i] = give;
                 left -= give;
                 if left.is_zero() {
                     break;
                 }
             }
-            b.push_step(shares);
+            b.push_step(&shares);
         }
-        b.finish()
+        b.finish().expect("k = 1 runs finish to a schedule")
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::error::InstanceError;
 use crate::job::{Job, JobId};
 use crate::rational::Ratio;
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A CRSharing problem instance.
@@ -361,6 +362,18 @@ impl Instance {
         Instance {
             jobs,
             extra: Vec::new(),
+        }
+    }
+
+    /// The instance a single-resource [`Schedule`](crate::Schedule) is read
+    /// against: the instance itself when it has one resource, its
+    /// base-resource [projection](Self::project_resource) otherwise.
+    #[must_use]
+    pub fn base_resource(&self) -> Cow<'_, Instance> {
+        if self.extra.is_empty() {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.project_resource(0))
         }
     }
 }

@@ -12,14 +12,16 @@
 //!
 //! * [`Ratio`] — exact rational arithmetic (all scheduling decisions in this
 //!   repository are made exactly, never in floating point);
-//! * [`ScaledInstance`] / [`ScaledScheduleBuilder`] — the same requirements
-//!   (and workloads) as scaled `u64` units on the denominators' LCM grid,
-//!   the representation the exact solver cores *and* the scheduling /
-//!   simulation layer in `cr-algos` / `cr-sim` run on (see the `rational`
-//!   module docs for the two-representation design);
+//! * [`ScaledInstance`] — the same requirements as scaled `u64` units on
+//!   the denominators' LCM grid, the representation the exact solver cores
+//!   in `cr-algos` run on (see the `rational` module docs for the
+//!   two-representation design);
+//! * [`MultiStepper`] — the forward step simulator every scheduler,
+//!   schedule replay and online simulation is built on, for any number of
+//!   resources and over either representation;
 //! * [`Job`], [`JobId`], [`Instance`], [`InstanceBuilder`] — the problem input;
-//! * [`Schedule`], [`ScheduleTrace`], [`ScheduleBuilder`] — resource
-//!   assignments, their simulation, validation and makespan;
+//! * [`Schedule`], [`ScheduleTrace`] — resource assignments, their
+//!   simulation, validation and makespan;
 //! * [`properties`] — the non-wasting / progressive / nested / balanced
 //!   schedule properties of Section 4.1;
 //! * [`SchedulingGraph`] — the scheduling hypergraph of Section 3.2 with its
@@ -71,16 +73,15 @@ pub use job::{Job, JobId};
 pub use multi::{MultiStepper, StepUnit};
 pub use properties::{PropertyReport, PropertyViolation};
 pub use rational::{ratio, Ratio};
-pub use scaled::{ScaledInstance, ScaledScheduleBuilder};
-pub use schedule::{Schedule, ScheduleBuilder, ScheduleTrace};
+pub use scaled::ScaledInstance;
+pub use schedule::{Schedule, ScheduleTrace};
 
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
     pub use crate::bounds;
     pub use crate::properties;
     pub use crate::{
-        CancelGate, CancelReason, CancelToken, Instance, InstanceBuilder, Job, JobId,
-        PropertyReport, Ratio, ScaledInstance, ScaledScheduleBuilder, Schedule, ScheduleBuilder,
-        ScheduleTrace, SchedulingGraph,
+        CancelGate, CancelReason, CancelToken, Instance, InstanceBuilder, Job, JobId, MultiStepper,
+        PropertyReport, Ratio, ScaledInstance, Schedule, ScheduleTrace, SchedulingGraph,
     };
 }

@@ -1,20 +1,19 @@
-//! Multi-resource stepping: the `k`-resource generalization of the scaled
-//! scheduling layer.
+//! Multi-resource stepping: the forward step simulator every scheduler,
+//! schedule replay and online simulation in this repository is built on.
 //!
 //! The paper's model shares **one** continuous resource; real many-core
 //! traffic contends on several at once (memory bandwidth, bus, cache
 //! slices).  An [`Instance`] may carry extra resource layers (see
-//! [`Instance::extra_layers`]); this module provides the forward-simulation
-//! machinery for such instances:
+//! [`Instance::extra_layers`]), and the paper's single resource is the
+//! `k = 1` case of that model.  This module provides:
 //!
 //! * [`StepUnit`] — the shared arithmetic surface of the two exact
-//!   representations: `u64` units on a per-resource LCM grid (the fast
-//!   production path) and [`Ratio`] (the exact rational reference path).
-//! * [`MultiStepper`] — the `k`-resource twin of
-//!   [`ScaledScheduleBuilder`](crate::scaled::ScaledScheduleBuilder): per
-//!   step, every resource `r` hands out its own capacity `D_r`, and a job
-//!   advances on each resource independently under the decoupled workload
-//!   model below.
+//!   representations: `u64` units on a per-resource LCM grid and [`Ratio`]
+//!   (exact rational arithmetic with capacity `1`);
+//! * [`MultiStepper`] — per step, every resource `r` hands out its own
+//!   capacity, and a job advances on each resource independently under the
+//!   decoupled workload model below.  The stepper records every step, and
+//!   at `k = 1` [`MultiStepper::finish`] returns the [`Schedule`].
 //!
 //! # The decoupled per-resource workload model
 //!
@@ -25,24 +24,16 @@
 //! positive layer needs at least `⌈p⌉` steps on its own, completion takes
 //! at least `⌈p⌉` steps, exactly as in the scalar model.  A job whose
 //! entire requirement vector is zero occupies `⌈p⌉` steps for free, again
-//! mirroring the scalar convention.  For `k = 1` the model *is* the scalar
-//! model (the single layer's workload and per-step cap coincide with the
-//! scalar ones); the scalar code paths remain the production fast path and
-//! are not routed through this module.
+//! mirroring the scalar convention.  For `k = 1` the model *is* the
+//! paper's model: the single layer's workload and per-step cap coincide
+//! with the scalar ones, so the recorded shares replay through
+//! [`Schedule::trace`] to the same completion steps.
 
 use crate::instance::Instance;
 use crate::job::JobId;
 use crate::rational::Ratio;
-
-/// Least common multiple fold step used by the per-layer grids.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
+use crate::scaled::layer_grid;
+use crate::schedule::Schedule;
 
 /// The arithmetic a per-resource quantity must support: exact comparison,
 /// overflow-checked addition and (contract-guarded) subtraction.
@@ -59,6 +50,9 @@ pub trait StepUnit: Copy + Ord + std::fmt::Debug {
     fn checked_add(self, other: Self) -> Option<Self>;
     /// Subtraction; callers guarantee `other ≤ self`.
     fn sub(self, other: Self) -> Self;
+    /// The exact share of the resource this quantity is on a resource of
+    /// capacity `capacity`.
+    fn to_share(self, capacity: Self) -> Ratio;
 }
 
 impl StepUnit for u64 {
@@ -68,6 +62,9 @@ impl StepUnit for u64 {
     }
     fn sub(self, other: Self) -> Self {
         self - other
+    }
+    fn to_share(self, capacity: Self) -> Ratio {
+        Ratio::new(i128::from(self), i128::from(capacity))
     }
 }
 
@@ -79,17 +76,20 @@ impl StepUnit for Ratio {
     fn sub(self, other: Self) -> Self {
         self - other
     }
+    fn to_share(self, _capacity: Self) -> Ratio {
+        self
+    }
 }
 
-/// Forward-simulating multi-resource schedule stepper — the `k`-resource
-/// twin of [`ScaledScheduleBuilder`](crate::scaled::ScaledScheduleBuilder),
-/// generic over the representation (`u64` units or exact [`Ratio`]s).
+/// Forward-simulating multi-resource schedule stepper, generic over the
+/// representation (`u64` units or exact [`Ratio`]s).
 ///
 /// Every resource `r` lives on its own grid: a full time step hands out
 /// exactly [`capacity(r)`](Self::capacity) units of resource `r`.  The
 /// stepper tracks, per processor, the active job's remaining workload on
 /// every layer and advances it by the consumed units (`min(share, step
-/// demand)`) per layer.
+/// demand)`) per layer.  Shares are passed flat and processor-major: entry
+/// `i·k + r` is processor `i`'s share of resource `r`.
 ///
 /// # Examples
 ///
@@ -108,7 +108,7 @@ impl StepUnit for Ratio {
 /// // resource 1 on its own.
 /// let d0 = stepper.capacity(0);
 /// let d1 = stepper.capacity(1);
-/// stepper.push_step(&[vec![d0 / 2, d1], vec![d0 / 2, 0]]);
+/// stepper.push_step(&[d0 / 2, d1, d0 / 2, 0]);
 /// assert!(!stepper.is_active(0) && !stepper.is_active(1));
 /// ```
 #[derive(Debug, Clone)]
@@ -117,6 +117,9 @@ pub struct MultiStepper<V> {
     resources: usize,
     /// Per-resource capacities, length `k`.
     caps: Vec<V>,
+    /// Per-resource unit grids ([`layer_grid`]), `None` where a layer's
+    /// grid overflows `u64`; length `k`.
+    grids: Vec<Option<u64>>,
     /// Row start offsets into the per-job arrays; length `processors + 1`.
     offsets: Vec<u32>,
     /// Per-step requirement caps, `total_jobs × k`, job-major.
@@ -133,46 +136,29 @@ pub struct MultiStepper<V> {
     frontier: Vec<V>,
     /// Remaining free steps of each processor's frontier job.
     frontier_free: Vec<u64>,
+    /// Units usefully consumed per resource in the last step, length `k`.
+    consumed: Vec<V>,
+    /// Every applied step's shares, `steps × processors × k`.
+    log: Vec<V>,
     /// Number of steps applied so far.
     steps: usize,
 }
 
 impl MultiStepper<u64> {
     /// Builds the scaled stepper: every resource on its own unit grid `D_r`
-    /// (the LCM of the layer's requirement and positive-layer workload
-    /// denominators, with `(m + 1) · D_r` headroom so an unchecked sum of
-    /// `m` shares plus a carry fits `u64`).  Returns `None` when any
-    /// layer's grid overflows; callers fall back to the exact rational
-    /// stepper.
+    /// ([`layer_grid`]).  Returns `None` when any layer's grid — or any
+    /// job's workload in units — overflows `u64`; callers fall back to the
+    /// exact rational stepper.
     #[must_use]
     pub fn try_new_scaled(instance: &Instance) -> Option<Self> {
-        let m = instance.processors() as u64;
-        let k = instance.resources();
-        let mut caps = Vec::with_capacity(k);
-        for r in 0..k {
-            let mut capacity: u64 = 1;
-            let mut fold = |den: i128| -> Option<()> {
-                let den = u64::try_from(den).ok()?;
-                let g = gcd(capacity, den);
-                capacity = capacity.checked_mul(den / g)?;
-                capacity.checked_mul(m + 1)?;
-                Some(())
-            };
-            for (id, job) in instance.iter_jobs() {
-                let req = instance.requirement_on(r, id);
-                fold(req.denom())?;
-                if req.is_positive() {
-                    let workload = req.checked_mul(job.volume)?;
-                    fold(workload.denom())?;
-                }
-            }
-            caps.push(capacity);
-        }
-        Self::build(instance, &caps, |req, volume, cap| {
+        let grids: Vec<Option<u64>> = (0..instance.resources())
+            .map(|r| layer_grid(instance, r))
+            .collect();
+        let caps = grids.iter().copied().collect::<Option<Vec<u64>>>()?;
+        Self::build(instance, caps, grids, |req, workload, cap| {
             let num = u64::try_from(req.numer()).ok()?;
             let den = u64::try_from(req.denom()).ok()?;
             let req_units = num * (cap / den);
-            let workload = req.checked_mul(volume)?;
             let num = u64::try_from(workload.numer()).ok()?;
             let den = u64::try_from(workload.denom()).ok()?;
             Some((req_units, num.checked_mul(cap / den)?))
@@ -182,23 +168,33 @@ impl MultiStepper<u64> {
 
 impl MultiStepper<Ratio> {
     /// Builds the exact rational stepper: every resource has capacity `1`
-    /// and all quantities are exact [`Ratio`]s.  This is the reference
-    /// implementation the scaled path is cross-checked against; it never
-    /// fails to construct.
+    /// and all quantities are exact [`Ratio`]s.  It keeps each layer's
+    /// [`layer_grid`] (or `None` where that grid overflows), so splitting
+    /// rules can round to the same grid the `u64` stepper runs on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job's workload `r · p` overflows [`Ratio`], or if a job
+    /// that is free on every layer has a volume whose ceiling overflows
+    /// `u64` (neither could ever finish).
     #[must_use]
     pub fn new_rational(instance: &Instance) -> Self {
-        let caps = vec![Ratio::ONE; instance.resources()];
-        Self::build(instance, &caps, |req, volume, _| Some((req, req * volume)))
-            .expect("rational stepper construction is infallible") // lint: allow(panic_hygiene) — the closure never returns None
+        let k = instance.resources();
+        let grids = (0..k).map(|r| layer_grid(instance, r)).collect();
+        Self::build(instance, vec![Ratio::ONE; k], grids, |req, workload, _| {
+            Some((req, workload))
+        })
+        .expect("workloads and free step counts fit")
     }
 }
 
 impl<V: StepUnit> MultiStepper<V> {
-    /// Shared constructor: `convert(req, volume, cap)` produces the
+    /// Shared constructor: `convert(req, workload, cap)` produces the
     /// per-step cap and layer workload of one job on one resource.
     fn build(
         instance: &Instance,
-        caps: &[V],
+        caps: Vec<V>,
+        grids: Vec<Option<u64>>,
         mut convert: impl FnMut(Ratio, Ratio, V) -> Option<(V, V)>,
     ) -> Option<Self> {
         let m = instance.processors();
@@ -216,7 +212,12 @@ impl<V: StepUnit> MultiStepper<V> {
                 for (r, &cap) in caps.iter().enumerate() {
                     let req = instance.requirement_on(r, id);
                     any_positive |= req.is_positive();
-                    let (req_v, cost_v) = convert(req, job.volume, cap)?;
+                    let workload = if job.volume == Ratio::ONE {
+                        req
+                    } else {
+                        req.checked_mul(job.volume)?
+                    };
+                    let (req_v, cost_v) = convert(req, workload, cap)?;
                     reqs.push(req_v);
                     costs.push(cost_v);
                 }
@@ -230,7 +231,8 @@ impl<V: StepUnit> MultiStepper<V> {
         }
         let mut stepper = MultiStepper {
             resources: k,
-            caps: caps.to_vec(),
+            caps,
+            grids,
             offsets,
             reqs,
             costs,
@@ -238,6 +240,8 @@ impl<V: StepUnit> MultiStepper<V> {
             next_job: vec![0; m],
             frontier: vec![V::ZERO; m * k],
             frontier_free: vec![0; m],
+            consumed: vec![V::ZERO; k],
+            log: Vec::new(),
             steps: 0,
         };
         for i in 0..m {
@@ -288,6 +292,14 @@ impl<V: StepUnit> MultiStepper<V> {
         &self.caps
     }
 
+    /// The unit grid `D_r` of resource `resource` ([`layer_grid`]), or
+    /// `None` when it overflows `u64` (only possible on the rational
+    /// stepper).
+    #[must_use]
+    pub fn grid(&self, resource: usize) -> Option<u64> {
+        self.grids[resource]
+    }
+
     /// Number of steps applied so far.
     #[must_use]
     pub fn current_step(&self) -> usize {
@@ -307,7 +319,7 @@ impl<V: StepUnit> MultiStepper<V> {
             .map(|_| JobId::new(processor, self.next_job[processor]))
     }
 
-    /// Number of unfinished jobs on processor `i`.
+    /// Number of unfinished jobs on processor `i` (the paper's `nᵢ(t)`).
     #[must_use]
     pub fn unfinished_jobs(&self, processor: usize) -> usize {
         (self.offsets[processor + 1] as usize - self.offsets[processor] as usize)
@@ -323,10 +335,18 @@ impl<V: StepUnit> MultiStepper<V> {
     }
 
     /// Remaining workload of processor `i`'s active job on resource
-    /// `resource` (zero when idle).
+    /// `resource` (zero when idle, or when the job needs none of it).
     #[must_use]
     pub fn remaining(&self, processor: usize, resource: usize) -> V {
         self.frontier[processor * self.resources + resource]
+    }
+
+    /// The remaining workloads of processor `i`'s active job on every
+    /// resource, in resource order — borrowed, so ordering rules can
+    /// compare rows without allocating.
+    #[must_use]
+    pub fn remaining_row(&self, processor: usize) -> &[V] {
+        &self.frontier[processor * self.resources..(processor + 1) * self.resources]
     }
 
     /// Maximum share of resource `resource` the active job of processor `i`
@@ -347,33 +367,33 @@ impl<V: StepUnit> MultiStepper<V> {
         (0..self.processors()).all(|i| !self.is_active(i))
     }
 
-    /// Applies one time step with the given shares, `shares[i][r]` being
-    /// processor `i`'s share of resource `r`, and returns the units
-    /// usefully consumed per resource.
+    /// Applies and records one time step, `shares[i·k + r]` being processor
+    /// `i`'s share of resource `r`, and returns the units usefully consumed
+    /// per resource.
     ///
     /// # Panics
     ///
     /// Panics (in debug and release builds alike) if the shares are
-    /// malformed or oversubscribe any resource — algorithms must never emit
-    /// an infeasible step.
-    pub fn push_step(&mut self, shares: &[Vec<V>]) -> Vec<V> {
+    /// malformed, negative, or oversubscribe any resource — algorithms must
+    /// never emit an infeasible step.
+    pub fn push_step(&mut self, shares: &[V]) -> &[V] {
         let k = self.resources;
+        let m = self.processors();
         assert_eq!(
             shares.len(),
-            self.processors(),
-            "step must assign a share vector to every processor"
+            m * k,
+            "step must assign {k} share(s) to each of the {m} processors"
         );
         for (r, &cap) in self.caps.iter().enumerate() {
             let mut total = V::ZERO;
-            for (i, row) in shares.iter().enumerate() {
-                assert_eq!(row.len(), k, "processor {i} must receive {k} shares");
+            for i in 0..m {
+                let share = shares[i * k + r];
                 assert!(
-                    row[r] <= cap,
-                    "share {:?} for processor {i} exceeds resource {r}'s capacity {cap:?}",
-                    row[r]
+                    V::ZERO <= share && share <= cap,
+                    "share {share:?} for processor {i} lies outside [0, {cap:?}] on resource {r}"
                 );
                 total = total
-                    .checked_add(row[r])
+                    .checked_add(share)
                     .unwrap_or_else(|| panic!("share total overflows on resource {r}"));
             }
             assert!(
@@ -382,8 +402,8 @@ impl<V: StepUnit> MultiStepper<V> {
             );
         }
 
-        let mut consumed = vec![V::ZERO; k];
-        for (i, row) in shares.iter().enumerate() {
+        self.consumed.fill(V::ZERO);
+        for i in 0..m {
             let Some(slot) = self.job_slot(i) else {
                 continue;
             };
@@ -393,23 +413,68 @@ impl<V: StepUnit> MultiStepper<V> {
                 self.frontier_free[i] -= 1;
             } else {
                 for r in 0..k {
-                    let demand = self.frontier[i * k + r].min(self.reqs[slot * k + r]);
-                    let used = row[r].min(demand);
-                    self.frontier[i * k + r] = self.frontier[i * k + r].sub(used);
-                    consumed[r] = consumed[r]
+                    let remaining = self.frontier[i * k + r];
+                    let used = shares[i * k + r].min(remaining.min(self.reqs[slot * k + r]));
+                    self.frontier[i * k + r] = remaining.sub(used);
+                    self.consumed[r] = self.consumed[r]
                         .checked_add(used)
                         .unwrap_or_else(|| panic!("consumption overflows on resource {r}"));
                 }
             }
-            let done =
-                self.frontier_free[i] == 0 && (0..k).all(|r| self.frontier[i * k + r] == V::ZERO);
+            let done = self.frontier_free[i] == 0
+                && self.frontier[i * k..(i + 1) * k]
+                    .iter()
+                    .all(|&w| w == V::ZERO);
             if done {
                 self.next_job[i] += 1;
                 self.load_frontier(i);
             }
         }
+        self.log.extend_from_slice(shares);
         self.steps += 1;
-        consumed
+        &self.consumed
+    }
+
+    /// Finalizes the run.  At `k = 1` it returns the recorded steps as a
+    /// [`Schedule`]: `u64` units convert to the exact share `units / D`,
+    /// [`Ratio`] shares are returned unchanged.  A multi-resource run has
+    /// no [`Schedule`] form (it is single-resource) and returns `None`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cr_core::{Instance, MultiStepper, Ratio};
+    ///
+    /// let inst = Instance::unit_from_percentages(&[&[60], &[40]]);
+    /// let mut stepper = MultiStepper::try_new_scaled(&inst).unwrap();
+    /// assert_eq!(stepper.capacity(0), 5);
+    /// assert_eq!(stepper.step_demand(0, 0), 3);
+    /// stepper.push_step(&[3, 2]);
+    /// let schedule = stepper.finish().unwrap();
+    /// assert_eq!(schedule.share(0, 0), Ratio::from_percent(60));
+    /// assert_eq!(schedule.makespan(&inst).unwrap(), 1);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if jobs remain unfinished — that would be an algorithm bug.
+    #[must_use]
+    pub fn finish(self) -> Option<Schedule> {
+        assert!(
+            self.all_done(),
+            "MultiStepper::finish called with unfinished jobs"
+        );
+        if self.resources != 1 {
+            return None;
+        }
+        let cap = self.caps[0];
+        let m = self.processors();
+        Some(Schedule::new(
+            self.log
+                .chunks_exact(m)
+                .map(|row| row.iter().map(|&share| share.to_share(cap)).collect())
+                .collect(),
+        ))
     }
 }
 
@@ -419,7 +484,6 @@ mod tests {
     use crate::instance::InstanceBuilder;
     use crate::job::Job;
     use crate::rational::ratio;
-    use crate::scaled::ScaledScheduleBuilder;
 
     fn two_resource_instance() -> Instance {
         InstanceBuilder::new()
@@ -455,24 +519,19 @@ mod tests {
                 }
             }
             // Serve in processor order on every resource independently.
-            let mut unit_shares = vec![vec![0u64; k]; m];
-            let mut left: Vec<u64> = (0..k).map(|r| scaled.capacity(r)).collect();
-            for (i, row) in unit_shares.iter_mut().enumerate() {
-                for (r, cell) in row.iter_mut().enumerate() {
-                    *cell = scaled.step_demand(i, r).min(left[r]);
-                    left[r] -= *cell;
-                }
+            let mut unit_shares = vec![0u64; m * k];
+            let mut left: Vec<u64> = scaled.capacities().to_vec();
+            for (slot, cell) in unit_shares.iter_mut().enumerate() {
+                let (i, r) = (slot / k, slot % k);
+                *cell = scaled.step_demand(i, r).min(left[r]);
+                left[r] -= *cell;
             }
-            let ratio_shares: Vec<Vec<Ratio>> = unit_shares
+            let ratio_shares: Vec<Ratio> = unit_shares
                 .iter()
-                .map(|row| {
-                    row.iter()
-                        .enumerate()
-                        .map(|(r, &u)| to_ratio(u, scaled.capacity(r)))
-                        .collect()
-                })
+                .enumerate()
+                .map(|(slot, &u)| to_ratio(u, scaled.capacity(slot % k)))
                 .collect();
-            let consumed_units = scaled.push_step(&unit_shares);
+            let consumed_units = scaled.push_step(&unit_shares).to_vec();
             let consumed = rational.push_step(&ratio_shares);
             for r in 0..k {
                 assert_eq!(to_ratio(consumed_units[r], scaled.capacity(r)), consumed[r]);
@@ -482,35 +541,9 @@ mod tests {
         }
         assert!(rational.all_done());
         assert_eq!(scaled.current_step(), rational.current_step());
-    }
-
-    #[test]
-    fn single_resource_stepper_matches_the_scalar_builder() {
-        let inst = InstanceBuilder::new()
-            .processor_jobs([Job::new(Ratio::ZERO, ratio(5, 2)), Job::unit(ratio(1, 2))])
-            .processor_jobs([Job::new(ratio(1, 4), ratio(3, 1))])
-            .build();
-        let mut multi = MultiStepper::try_new_scaled(&inst).unwrap();
-        let mut scalar = ScaledScheduleBuilder::try_new(&inst).unwrap();
-        assert_eq!(multi.capacity(0), scalar.capacity());
-        let mut guard = 0;
-        while !scalar.all_done() {
-            assert!(!multi.all_done());
-            let m = inst.processors();
-            let mut shares = vec![0u64; m];
-            let mut left = scalar.capacity();
-            for (i, share) in shares.iter_mut().enumerate() {
-                assert_eq!(multi.step_demand(i, 0), scalar.step_demand_units(i));
-                assert_eq!(multi.unfinished_jobs(i), scalar.unfinished_jobs(i));
-                *share = scalar.step_demand_units(i).min(left);
-                left -= *share;
-            }
-            multi.push_step(&shares.iter().map(|&s| vec![s]).collect::<Vec<_>>());
-            scalar.push_step(shares);
-            guard += 1;
-            assert!(guard < 100);
-        }
-        assert!(multi.all_done());
+        // A multi-resource run has no single-resource schedule form.
+        assert_eq!(scaled.finish(), None);
+        assert_eq!(rational.finish(), None);
     }
 
     #[test]
@@ -526,21 +559,22 @@ mod tests {
         let d0 = stepper.capacity(0);
         let d1 = stepper.capacity(1);
         // Give everything to processor 0 on resource 1.
+        assert_eq!(
+            stepper.remaining_row(0),
+            &[stepper.step_demand(0, 0), stepper.step_demand(0, 1)]
+        );
         stepper.push_step(&[
-            vec![stepper.step_demand(0, 0), stepper.step_demand(0, 1)],
-            vec![
-                d0 - stepper.step_demand(0, 0),
-                d1 - stepper.step_demand(0, 1),
-            ],
+            stepper.step_demand(0, 0),
+            stepper.step_demand(0, 1),
+            d0 - stepper.step_demand(0, 0),
+            d1 - stepper.step_demand(0, 1),
         ]);
         assert!(!stepper.is_active(0));
+        assert_eq!(stepper.remaining_row(0), &[0, 0]);
         // Processor 1 got the leftover of resource 1 (not enough: 1/4 < 3/4
         // needed), so it is still active.
         assert!(stepper.is_active(1));
-        stepper.push_step(&[
-            vec![0, 0],
-            vec![stepper.step_demand(1, 0), stepper.step_demand(1, 1)],
-        ]);
+        stepper.push_step(&[0, 0, stepper.step_demand(1, 0), stepper.step_demand(1, 1)]);
         assert!(stepper.all_done());
         assert_eq!(stepper.current_step(), 2);
     }
@@ -556,7 +590,17 @@ mod tests {
         let mut stepper = MultiStepper::try_new_scaled(&inst).unwrap();
         let d1 = stepper.capacity(1);
         let d0 = stepper.capacity(0);
-        stepper.push_step(&[vec![d0 / 2, d1], vec![d0 / 2, d1]]);
+        stepper.push_step(&[d0 / 2, d1, d0 / 2, d1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "share -1/2 for processor 0 lies outside [0, 1/1] on resource 0")]
+    fn negative_rational_shares_are_rejected() {
+        // A negative share would raise processor 0's remaining workload and
+        // let processor 1 finish a full job on a column total of 1/2.
+        let inst = Instance::unit_from_percentages(&[&[50], &[100]]);
+        let mut stepper = MultiStepper::new_rational(&inst);
+        stepper.push_step(&[ratio(-1, 2), Ratio::ONE]);
     }
 
     #[test]
@@ -568,9 +612,26 @@ mod tests {
         let mut stepper = MultiStepper::try_new_scaled(&inst).unwrap();
         for _ in 0..3 {
             assert!(stepper.is_active(0));
-            stepper.push_step(&[vec![0, 0]]);
+            stepper.push_step(&[0, 0]);
         }
         assert!(stepper.all_done());
         assert_eq!(stepper.current_step(), 3);
+    }
+
+    #[test]
+    fn rational_stepper_keeps_each_layers_grid() {
+        let primes: [i128; 4] = [4_294_967_291, 4_294_967_279, 4_294_967_231, 4_294_967_197];
+        let inst = InstanceBuilder::new()
+            .processor([ratio(1, 2), ratio(1, 4)])
+            .processor([ratio(3, 4)])
+            .extra_layer([
+                vec![ratio(1, primes[0]), ratio(1, primes[1])],
+                vec![ratio(1, primes[2] * primes[3])],
+            ])
+            .build();
+        let rational = MultiStepper::new_rational(&inst);
+        assert_eq!(rational.grid(0), Some(4));
+        assert_eq!(rational.grid(1), None);
+        assert!(MultiStepper::try_new_scaled(&inst).is_none());
     }
 }

@@ -20,11 +20,11 @@
 //! closed under the arithmetic any caller may perform.  The exact solvers in
 //! `cr-algos`, however, run their hot search loops on a
 //! [`ScaledInstance`](crate::scaled::ScaledInstance), and the schedulers and
-//! the `cr-sim` online arbiter run on a
-//! [`ScaledScheduleBuilder`](crate::scaled::ScaledScheduleBuilder): all
-//! requirements (and workloads) of one instance re-expressed as integer
-//! units on the common grid `1/D` (`D` = the denominators' LCM), where sums,
-//! capacity comparisons and share splits are single integer ops with no gcd.
+//! the `cr-sim` online arbiter run on a `u64`
+//! [`MultiStepper`](crate::multi::MultiStepper): all requirements (and
+//! workloads) of one instance re-expressed as integer units on the common
+//! grid `1/D` (`D` = the denominators' LCM), where sums, capacity
+//! comparisons and share splits are single integer ops with no gcd.
 //! The conversion round-trips exactly in both directions, so the two
 //! representations never disagree; when the LCM would overflow the scaled
 //! form's `u64` headroom, solvers and schedulers simply stay on the `Ratio`
@@ -317,19 +317,33 @@ impl PartialOrd for Ratio {
 impl Ord for Ratio {
     fn cmp(&self, other: &Self) -> Ordering {
         // Both denominators are positive, so cross multiplication preserves
-        // the order.  Values in this repository are small enough that the
-        // products fit into i128 comfortably; use checked ops defensively.
-        let lhs = self
-            .num
-            .checked_mul(other.den)
-            // lint: allow(panic_hygiene) — overflow here means the small-reduced-terms invariant was already broken; fail loudly
-            .expect("Ratio comparison overflow");
-        let rhs = other
-            .num
-            .checked_mul(self.den)
-            // lint: allow(panic_hygiene) — overflow here means the small-reduced-terms invariant was already broken; fail loudly
-            .expect("Ratio comparison overflow");
-        lhs.cmp(&rhs)
+        // the order; when a product overflows i128, the continued-fraction
+        // comparison decides without multiplying.
+        match (
+            self.num.checked_mul(other.den),
+            other.num.checked_mul(self.den),
+        ) {
+            (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+            _ => cmp_fractions(self.num, self.den, other.num, other.den),
+        }
+    }
+}
+
+/// Orders `a/b` against `c/d` (`b, d > 0`) by comparing their continued
+/// fraction expansions term by term: integer parts first, then the
+/// reciprocals of the remainders (which reverses the order).  Uses only
+/// division, so it cannot overflow.
+fn cmp_fractions(mut a: i128, mut b: i128, mut c: i128, mut d: i128) -> Ordering {
+    let mut reversed = false;
+    loop {
+        let ord = a.div_euclid(b).cmp(&c.div_euclid(d));
+        let (ra, rc) = (a.rem_euclid(b), c.rem_euclid(d));
+        if ord != Ordering::Equal || ra == 0 || rc == 0 {
+            let ord = ord.then((ra != 0).cmp(&(rc != 0)));
+            return if reversed { ord.reverse() } else { ord };
+        }
+        (a, b, c, d) = (b, ra, d, rc);
+        reversed = !reversed;
     }
 }
 
@@ -654,6 +668,22 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: Ratio = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn comparison_survives_overflowing_cross_products() {
+        let n: i128 = 10_i128.pow(37);
+        // (n+1)/(n+2) > n/(n+1), but the cross products overflow i128.
+        let (x, y) = (Ratio::new(n + 1, n + 2), Ratio::new(n, n + 1));
+        assert!(x > y);
+        assert_eq!(y.cmp(&x), Ordering::Less);
+        assert_eq!(x.cmp(&x), Ordering::Equal);
+        assert!(Ratio::new(-(n + 1), n + 2) < Ratio::new(-n, n + 1));
+        assert!(Ratio::new(-1, n + 2) < Ratio::new(1, n + 1));
+        let p: i128 = 7_000_000_000_000_000_013;
+        assert!(Ratio::new(p - 1, p * (p + 1)) < Ratio::new(p - 1, p));
+        // Equal integer parts, decided by the remainders.
+        assert!(Ratio::new(2 * n + 1, n) > Ratio::new(2 * n + 3, n + 1));
     }
 
     #[test]

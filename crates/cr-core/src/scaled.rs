@@ -18,21 +18,15 @@
 //! the solver cores run on units internally while the public API keeps
 //! speaking exact [`Ratio`]s.
 //!
-//! # The scaled scheduling layer
+//! # The scheduling layer's grids
 //!
-//! [`ScaledScheduleBuilder`] extends the same representation from the exact
-//! solvers to *schedule construction*: it mirrors
-//! [`ScheduleBuilder`](crate::schedule::ScheduleBuilder) step for step, but
-//! tracks the remaining **workload** `r·p` of each frontier job as `u64`
-//! units on the grid `1/D`, where `D` is the LCM of all requirement *and*
-//! workload denominators.  A time step hands out exactly `D` units; granting
-//! `c ≤ min(workload, r·D)` units to a job reduces its remaining workload by
-//! exactly `c`, so a whole simulation step is a handful of integer ops.
-//! [`ScaledScheduleBuilder::finish`] converts the unit shares back to exact
-//! [`Ratio`]s (`units/D`), so the resulting [`Schedule`] is bit-for-bit the
-//! schedule the equivalent `Ratio` arithmetic would have produced — the
-//! schedulers in `cr-algos` and the online arbiter in `cr-sim` run on units
-//! internally while their public APIs keep speaking exact `Ratio` schedules.
+//! Schedule construction runs on a [`MultiStepper`](crate::multi::MultiStepper),
+//! which tracks the remaining **workload** `r·p` of each frontier job, so
+//! its grid must also cover the workload denominators: [`layer_grid`] is
+//! the LCM `D_r` of one resource layer's requirement *and* positive
+//! workload denominators.  A time step hands out exactly `D_r` units of
+//! that resource, and granting `c ≤ min(workload, r·D_r)` units reduces the
+//! remaining workload by exactly `c`.
 //!
 //! [`largest_remainder_split`] is the companion primitive for policies that
 //! *divide* the resource (uniform or demand-proportional shares): it splits
@@ -40,24 +34,21 @@
 //! largest-remainder rounding, so shares always sum to exactly one pool —
 //! no sliver of the resource is silently wasted, and a positive demand is
 //! only ever given zero units when the entire pool went to other positive
-//! demands.  This replaces the lossy fixed `SHARE_GRID` floor the heuristics
-//! and the online policies used before, which could quantize small positive
-//! demands to a zero share and starve a core.
+//! demands.  [`largest_remainder_split_ratio`] is the same split in exact
+//! [`Ratio`] arithmetic, which the rational stepper applies on the same
+//! grid so both steppers hand out identical shares.
 //!
-//! Construction is fallible ([`ScaledInstance::try_new`],
-//! [`ScaledScheduleBuilder::try_new`]): if the LCM blows past the
-//! overflow-safe bound, callers fall back to the rational-arithmetic path.
-//! The two layers reserve different headroom above the LCM `D`:
-//! [`ScaledInstance`] only needs `2 · D` (the two-processor DP's
-//! requirement-plus-carry cells; the wide configuration engines in
-//! `cr-algos` overflow-check their own `m`-fold sums), while
-//! [`ScaledScheduleBuilder`] keeps `(m + 1) · D` because its step
-//! application accumulates `m` shares unchecked.
+//! Construction is fallible ([`ScaledInstance::try_new`], [`layer_grid`]):
+//! if the LCM blows past the overflow-safe bound, callers fall back to the
+//! rational-arithmetic path.  The two grids reserve different headroom
+//! above the LCM `D`: [`ScaledInstance`] only needs `2 · D` (the
+//! two-processor DP's requirement-plus-carry cells; the wide configuration
+//! engines in `cr-algos` overflow-check their own `m`-fold sums), while
+//! [`layer_grid`] keeps `(m + 1) · D` so a step's `m` shares plus a carry
+//! always fit `u64`.
 
 use crate::instance::Instance;
-use crate::job::JobId;
 use crate::rational::Ratio;
-use crate::schedule::Schedule;
 
 /// An instance's requirements re-expressed as integer units on the common
 /// grid `1/capacity`.
@@ -106,7 +97,7 @@ struct ScaledLayer {
 }
 
 /// Greatest common divisor (Euclid) on `u64`.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -132,9 +123,8 @@ impl ScaledInstance {
     /// `(m + 1) · D` instead, needlessly pushing wide many-core instances
     /// with large denominators onto the slow rational path.
     ///
-    /// The scheduling-layer grid ([`schedule_unit_grid`] /
-    /// [`ScaledScheduleBuilder`]) still reserves `(m + 1) · D`: its step
-    /// application accumulates `m` shares unchecked.
+    /// The scheduling layer's grid ([`layer_grid`]) still reserves
+    /// `(m + 1) · D`.
     #[must_use]
     pub fn try_new(instance: &Instance) -> Option<Self> {
         let m = instance.processors();
@@ -289,31 +279,43 @@ impl ScaledInstance {
     }
 }
 
-/// Least common multiple of all requirement *and* workload denominators of
-/// `instance` — the unit grid the scaled scheduling layer runs on — or
-/// `None` when the LCM (with `(m + 1)·D` headroom, so sums of `m` shares
-/// plus a carry always fit `u64`) would overflow.
+/// The scheduling layer's unit grid of resource `resource`: the LCM `D_r`
+/// of the layer's requirement denominators and of the denominators of its
+/// positive workloads `r·p`, or `None` when `(m + 1)·D_r` would overflow
+/// `u64` (the headroom keeps a step's `m` shares plus a carry in range).
 ///
-/// This is the capacity a [`ScaledScheduleBuilder`] for the same instance
-/// reports; it is exposed separately so the `*_rational` reference
-/// implementations in `cr-algos` can quantize their splits to the identical
-/// grid without constructing a builder.
+/// A job whose requirement on the layer is zero contributes only its
+/// requirement's denominator: it has no workload there, and a job that is
+/// free on every layer is tracked by step count instead.
+///
+/// # Examples
+///
+/// ```
+/// use cr_core::scaled::layer_grid;
+/// use cr_core::{ratio, InstanceBuilder, Job};
+///
+/// // Requirement 1/3 with volume 5/2: the workload 5/6 forces grid 6.
+/// let inst = InstanceBuilder::new()
+///     .processor_jobs([Job::new(ratio(1, 3), ratio(5, 2))])
+///     .build();
+/// assert_eq!(layer_grid(&inst, 0), Some(6));
+/// ```
 #[must_use]
-pub fn schedule_unit_grid(instance: &Instance) -> Option<u64> {
-    let m = instance.processors() as u64;
+pub fn layer_grid(instance: &Instance, resource: usize) -> Option<u64> {
+    let headroom = instance.processors() as u64 + 1;
     let mut capacity: u64 = 1;
     let mut fold = |den: i128| -> Option<()> {
         let den = u64::try_from(den).ok()?;
-        let g = gcd(capacity, den);
-        capacity = capacity.checked_mul(den / g)?;
-        capacity.checked_mul(m + 1)?;
+        capacity = capacity.checked_mul(den / gcd(capacity, den))?;
+        capacity.checked_mul(headroom)?;
         Some(())
     };
-    for (_, job) in instance.iter_jobs() {
-        fold(job.requirement.denom())?;
-        if job.requirement.is_positive() {
-            let workload = job.requirement.checked_mul(job.volume)?;
-            fold(workload.denom())?;
+    for (id, job) in instance.iter_jobs() {
+        let req = instance.requirement_on(resource, id);
+        fold(req.denom())?;
+        // A unit volume's workload is the requirement itself.
+        if req.is_positive() && job.volume != Ratio::ONE {
+            fold(req.checked_mul(job.volume)?.denom())?;
         }
     }
     Some(capacity)
@@ -373,10 +375,9 @@ pub fn largest_remainder_split(pool: u64, weights: &[u64]) -> Vec<u64> {
 ///
 /// For weights that are multiples of `1/grid` this produces exactly the
 /// shares `largest_remainder_split(grid, unit_weights)` produces (divided by
-/// `grid`) — it exists so the retained rational reference implementations of
-/// the splitting heuristics compute bit-identical schedules to their scaled
-/// production paths, which the cross-check property tests in `cr-algos`
-/// assert.
+/// `grid`) — it is how the rational stepper's splitting heuristics hand out
+/// the same shares as the `u64` stepper on the same [`layer_grid`], which
+/// the cross-check property tests in `cr-algos` assert.
 ///
 /// # Panics
 ///
@@ -409,275 +410,11 @@ pub fn largest_remainder_split_ratio(grid: i128, weights: &[Ratio]) -> Vec<Ratio
     shares
 }
 
-/// Forward-simulating schedule builder on the scaled-integer grid — the
-/// `u64` twin of [`ScheduleBuilder`](crate::schedule::ScheduleBuilder).
-///
-/// All quantities are *units* on the grid `1/capacity` (see
-/// [`schedule_unit_grid`]): a full time step hands out exactly
-/// [`capacity`](Self::capacity) units, a job's step demand and remaining
-/// workload are plain `u64`s, and one simulation step is pure integer
-/// arithmetic.  [`finish`](Self::finish) converts the accumulated unit
-/// shares back to exact [`Ratio`]s, so the produced [`Schedule`] is
-/// bit-for-bit the one the equivalent `Ratio` computation would build.
-///
-/// Jobs with a **zero requirement** have zero workload but still occupy
-/// steps (they advance one volume unit per step regardless of their share,
-/// like in [`Schedule::trace`]); the builder tracks them by their remaining
-/// step count `⌈p⌉` instead of workload units.
-///
-/// # Examples
-///
-/// ```
-/// use cr_core::{Instance, ScaledScheduleBuilder};
-///
-/// let inst = Instance::unit_from_percentages(&[&[60], &[40]]);
-/// let mut b = ScaledScheduleBuilder::try_new(&inst).unwrap();
-/// assert_eq!(b.capacity(), 5);
-/// assert_eq!(b.step_demand_units(0), 3);
-/// b.push_step(vec![3, 2]);
-/// assert!(b.all_done());
-/// let schedule = b.finish();
-/// assert_eq!(schedule.makespan(&inst).unwrap(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScaledScheduleBuilder<'a> {
-    instance: &'a Instance,
-    /// The unit grid `D`: a full step hands out exactly `capacity` units.
-    capacity: u64,
-    /// Row start offsets into the per-job arrays; length `processors + 1`.
-    offsets: Vec<u32>,
-    /// Requirement of each job in units, processor-major.
-    req_units: Vec<u64>,
-    /// Initial cost of each job: workload `r·p` in units for jobs with a
-    /// positive requirement, remaining step count `⌈p⌉` for zero-requirement
-    /// jobs.
-    cost: Vec<u64>,
-    next_job: Vec<usize>,
-    /// Remaining cost of each processor's frontier job (same encoding as
-    /// `cost`).
-    frontier: Vec<u64>,
-    steps: Vec<Vec<u64>>,
-}
-
-impl<'a> ScaledScheduleBuilder<'a> {
-    /// Builds the scaled schedule builder, or `None` when the unit grid
-    /// overflows (see [`schedule_unit_grid`]); callers treat `None` as "use
-    /// the rational [`ScheduleBuilder`](crate::schedule::ScheduleBuilder)
-    /// path".
-    #[must_use]
-    pub fn try_new(instance: &'a Instance) -> Option<Self> {
-        let capacity = schedule_unit_grid(instance)?;
-        let m = instance.processors();
-        let mut offsets = Vec::with_capacity(m + 1);
-        let mut req_units = Vec::with_capacity(instance.total_jobs());
-        let mut cost = Vec::with_capacity(instance.total_jobs());
-        offsets.push(0u32);
-        for i in 0..m {
-            for job in instance.processor_jobs(i) {
-                let num = u64::try_from(job.requirement.numer()).ok()?;
-                let den = u64::try_from(job.requirement.denom()).ok()?;
-                req_units.push(num * (capacity / den));
-                if job.requirement.is_positive() {
-                    let workload = job.requirement.checked_mul(job.volume)?;
-                    let num = u64::try_from(workload.numer()).ok()?;
-                    let den = u64::try_from(workload.denom()).ok()?;
-                    cost.push(num.checked_mul(capacity / den)?);
-                } else {
-                    cost.push(u64::try_from(job.volume.ceil()).ok()?);
-                }
-            }
-            offsets.push(u32::try_from(req_units.len()).ok()?);
-        }
-        let frontier = (0..m)
-            .map(|i| {
-                let row = offsets[i] as usize;
-                if offsets[i + 1] as usize > row {
-                    cost[row]
-                } else {
-                    0
-                }
-            })
-            .collect();
-        Some(ScaledScheduleBuilder {
-            instance,
-            capacity,
-            offsets,
-            req_units,
-            cost,
-            next_job: vec![0; m],
-            frontier,
-            steps: Vec::new(),
-        })
-    }
-
-    /// The instance being scheduled.
-    #[must_use]
-    pub fn instance(&self) -> &Instance {
-        self.instance
-    }
-
-    /// The unit grid `D`: a full time step hands out exactly `capacity`
-    /// units, and a share of `u` units round-trips to the exact [`Ratio`]
-    /// `u / capacity`.
-    #[must_use]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Number of processors.
-    #[must_use]
-    pub fn processors(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of steps emitted so far.
-    #[must_use]
-    pub fn current_step(&self) -> usize {
-        self.steps.len()
-    }
-
-    fn job_slot(&self, processor: usize) -> Option<usize> {
-        let slot = self.offsets[processor] as usize + self.next_job[processor];
-        (slot < self.offsets[processor + 1] as usize).then_some(slot)
-    }
-
-    /// The active (first unfinished) job of processor `i`.
-    #[must_use]
-    pub fn active_job(&self, processor: usize) -> Option<JobId> {
-        self.job_slot(processor)
-            .map(|_| JobId::new(processor, self.next_job[processor]))
-    }
-
-    /// Requirement of the active job of processor `i` in units.
-    #[must_use]
-    pub fn active_requirement_units(&self, processor: usize) -> Option<u64> {
-        self.job_slot(processor).map(|slot| self.req_units[slot])
-    }
-
-    /// Whether processor `i` still has unfinished jobs.
-    #[must_use]
-    pub fn is_active(&self, processor: usize) -> bool {
-        self.job_slot(processor).is_some()
-    }
-
-    /// Number of unfinished jobs on processor `i` (the paper's `nᵢ(t)`).
-    #[must_use]
-    pub fn unfinished_jobs(&self, processor: usize) -> usize {
-        (self.offsets[processor + 1] as usize - self.offsets[processor] as usize)
-            - self.next_job[processor]
-    }
-
-    /// Remaining workload `r · (remaining volume)` of the active job in
-    /// units — the total resource still needed to finish it (zero if the
-    /// processor is idle or its active job needs no resource).
-    #[must_use]
-    pub fn remaining_workload_units(&self, processor: usize) -> u64 {
-        match self.job_slot(processor) {
-            Some(slot) if self.req_units[slot] > 0 => self.frontier[processor],
-            _ => 0,
-        }
-    }
-
-    /// Maximum resource the active job of processor `i` can usefully absorb
-    /// in a single step, in units: `min(remaining workload, r·D)` — exactly
-    /// `r · min(remaining volume, 1)` on the unit grid.
-    #[must_use]
-    pub fn step_demand_units(&self, processor: usize) -> u64 {
-        match self.job_slot(processor) {
-            Some(slot) => self.frontier[processor].min(self.req_units[slot]),
-            None => 0,
-        }
-    }
-
-    /// Whether every job of the instance has been completed.
-    #[must_use]
-    pub fn all_done(&self) -> bool {
-        (0..self.processors()).all(|i| !self.is_active(i))
-    }
-
-    /// Applies one time step with the given resource shares (in units) and
-    /// advances the simulated state.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug and release builds alike) if the shares are
-    /// infeasible — algorithms must never emit an infeasible step.
-    pub fn push_step(&mut self, shares: Vec<u64>) {
-        assert_eq!(
-            shares.len(),
-            self.processors(),
-            "step must assign a share to every processor"
-        );
-        let mut total: u64 = 0;
-        for (i, &share) in shares.iter().enumerate() {
-            assert!(
-                share <= self.capacity,
-                "share of {share} units for processor {i} exceeds the capacity {}",
-                self.capacity
-            );
-            // Cannot overflow: try_new guarantees (m + 1)·capacity fits u64.
-            total += share;
-        }
-        assert!(
-            total <= self.capacity,
-            "step overuses the resource: {total} units assigned, capacity {}",
-            self.capacity
-        );
-
-        for (i, &share) in shares.iter().enumerate() {
-            let Some(slot) = self.job_slot(i) else {
-                continue;
-            };
-            if self.req_units[slot] > 0 {
-                // Consumption = min(share, step demand); remaining workload
-                // decreases by exactly the consumed units.
-                let consumed = share.min(self.frontier[i].min(self.req_units[slot]));
-                self.frontier[i] -= consumed;
-            } else {
-                // Zero-requirement jobs advance one volume unit per step for
-                // free; `frontier` counts their remaining steps.
-                self.frontier[i] -= 1;
-            }
-            if self.frontier[i] == 0 {
-                self.next_job[i] += 1;
-                if let Some(next_slot) = self.job_slot(i) {
-                    self.frontier[i] = self.cost[next_slot];
-                }
-            }
-        }
-        self.steps.push(shares);
-    }
-
-    /// Finalizes the schedule, converting every unit share back to the exact
-    /// rational `units / capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs remain unfinished — that would be an algorithm bug.
-    #[must_use]
-    pub fn finish(self) -> Schedule {
-        assert!(
-            self.all_done(),
-            "ScaledScheduleBuilder::finish called with unfinished jobs"
-        );
-        let capacity = i128::from(self.capacity);
-        Schedule::new(
-            self.steps
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|units| Ratio::new(i128::from(units), capacity))
-                        .collect()
-                })
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use crate::multi::MultiStepper;
     use crate::rational::ratio;
 
     #[test]
@@ -745,8 +482,8 @@ mod tests {
         assert_eq!(scaled.capacity(), 9_223_372_036_854_775_783u64);
         assert_eq!(scaled.row(0), &[9_223_372_036_854_775_782u64]);
         assert_eq!(scaled.to_ratio(scaled.unit_req(0, 0)), ratio(p - 1, p));
-        assert!(schedule_unit_grid(&inst).is_none());
-        assert!(ScaledScheduleBuilder::try_new(&inst).is_none());
+        assert!(layer_grid(&inst, 0).is_none());
+        assert!(MultiStepper::try_new_scaled(&inst).is_none());
     }
 
     #[test]
@@ -758,8 +495,8 @@ mod tests {
             .processor(primes.map(|p| ratio(1, p)))
             .build();
         assert!(ScaledInstance::try_new(&inst).is_none());
-        assert!(schedule_unit_grid(&inst).is_none());
-        assert!(ScaledScheduleBuilder::try_new(&inst).is_none());
+        assert!(layer_grid(&inst, 0).is_none());
+        assert!(MultiStepper::try_new_scaled(&inst).is_none());
     }
 
     #[test]
@@ -815,15 +552,16 @@ mod tests {
 
     #[test]
     fn schedule_builder_mirrors_ratio_builder() {
-        use crate::schedule::ScheduleBuilder;
+        // At k = 1 the u64 stepper and the rational stepper agree step for
+        // step and finish to the same exact schedule.
         let inst = InstanceBuilder::new()
             .processor([ratio(1, 2), ratio(1, 2)])
             .processor([ratio(3, 4), ratio(1, 4)])
             .build();
-        let mut scaled = ScaledScheduleBuilder::try_new(&inst).unwrap();
-        let mut rational = ScheduleBuilder::new(&inst);
-        assert_eq!(scaled.capacity(), 4);
-        let d = i128::from(scaled.capacity());
+        let mut scaled = MultiStepper::try_new_scaled(&inst).unwrap();
+        let mut rational = MultiStepper::new_rational(&inst);
+        assert_eq!(scaled.capacity(0), 4);
+        let d = i128::from(scaled.capacity(0));
         while !scaled.all_done() {
             assert!(!rational.all_done());
             let m = scaled.processors();
@@ -832,28 +570,27 @@ mod tests {
                 assert_eq!(scaled.active_job(i), rational.active_job(i));
                 assert_eq!(scaled.unfinished_jobs(i), rational.unfinished_jobs(i));
                 assert_eq!(
-                    Ratio::new(i128::from(scaled.step_demand_units(i)), d),
-                    rational.step_demand(i)
+                    Ratio::new(i128::from(scaled.step_demand(i, 0)), d),
+                    rational.step_demand(i, 0)
                 );
                 assert_eq!(
-                    Ratio::new(i128::from(scaled.remaining_workload_units(i)), d),
-                    rational.remaining_workload(i)
+                    Ratio::new(i128::from(scaled.remaining(i, 0)), d),
+                    rational.remaining(i, 0)
                 );
             }
             // Serve in processor order.
             let mut units = vec![0u64; m];
-            let mut left = scaled.capacity();
+            let mut left = scaled.capacity(0);
             for (i, unit) in units.iter_mut().enumerate() {
-                *unit = scaled.step_demand_units(i).min(left);
+                *unit = scaled.step_demand(i, 0).min(left);
                 left -= *unit;
             }
-            rational.push_step(
-                units
-                    .iter()
-                    .map(|&u| Ratio::new(i128::from(u), d))
-                    .collect(),
-            );
-            scaled.push_step(units);
+            let shares: Vec<Ratio> = units
+                .iter()
+                .map(|&u| Ratio::new(i128::from(u), d))
+                .collect();
+            rational.push_step(&shares);
+            scaled.push_step(&units);
         }
         assert!(rational.all_done());
         assert_eq!(scaled.finish(), rational.finish());
@@ -861,33 +598,33 @@ mod tests {
 
     #[test]
     fn schedule_builder_handles_volumes_and_zero_requirements() {
-        use crate::job::Job;
+        use crate::job::{Job, JobId};
         // p0: a 2.5-step zero-requirement job then a 50% job;
         // p1: a volume-3 job at requirement 1/4 (workload 3/4).
         let inst = InstanceBuilder::new()
             .processor_jobs([Job::new(Ratio::ZERO, ratio(5, 2)), Job::unit(ratio(1, 2))])
             .processor_jobs([Job::new(ratio(1, 4), ratio(3, 1))])
             .build();
-        let mut b = ScaledScheduleBuilder::try_new(&inst).unwrap();
-        assert_eq!(b.capacity(), 4);
+        let mut b = MultiStepper::try_new_scaled(&inst).unwrap();
+        assert_eq!(b.capacity(0), 4);
         // Zero-requirement frontier: no demand, no workload.
-        assert_eq!(b.step_demand_units(0), 0);
-        assert_eq!(b.remaining_workload_units(0), 0);
-        assert_eq!(b.active_requirement_units(0), Some(0));
+        assert_eq!(b.step_demand(0, 0), 0);
+        assert_eq!(b.remaining(0, 0), 0);
+        assert_eq!(b.active_requirement(0, 0), Some(0));
         // Volume-3 job: demand capped at one step's worth (r·D = 1 unit).
-        assert_eq!(b.step_demand_units(1), 1);
-        assert_eq!(b.remaining_workload_units(1), 3);
+        assert_eq!(b.step_demand(1, 0), 1);
+        assert_eq!(b.remaining(1, 0), 3);
         for step in 0..3 {
             assert_eq!(b.unfinished_jobs(0), 2, "step {step}");
-            b.push_step(vec![0, 1]);
+            b.push_step(&[0, 1]);
         }
         // The free job took ⌈5/2⌉ = 3 steps; p1's volume job finished too.
         assert_eq!(b.unfinished_jobs(0), 1);
         assert_eq!(b.unfinished_jobs(1), 0);
-        assert_eq!(b.step_demand_units(0), 2);
-        b.push_step(vec![2, 0]);
+        assert_eq!(b.step_demand(0, 0), 2);
+        b.push_step(&[2, 0]);
         assert!(b.all_done());
-        let schedule = b.finish();
+        let schedule = b.finish().expect("k = 1 runs finish to a schedule");
         assert_eq!(schedule.makespan(&inst).unwrap(), 4);
         assert_eq!(schedule.share(3, 0), ratio(1, 2));
         // The exact trace agrees with the scaled bookkeeping step for step.
@@ -898,19 +635,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overuses the resource")]
+    #[should_panic(expected = "oversubscribes resource 0")]
     fn schedule_builder_rejects_overuse() {
         let inst = Instance::unit_from_percentages(&[&[50], &[50]]);
-        let mut b = ScaledScheduleBuilder::try_new(&inst).unwrap();
-        let over = b.capacity();
-        b.push_step(vec![over, 1]);
+        let mut b = MultiStepper::try_new_scaled(&inst).unwrap();
+        let over = b.capacity(0);
+        b.push_step(&[over, 1]);
     }
 
     #[test]
     #[should_panic(expected = "unfinished jobs")]
     fn schedule_builder_finish_requires_completion() {
         let inst = Instance::unit_from_percentages(&[&[50]]);
-        let b = ScaledScheduleBuilder::try_new(&inst).unwrap();
+        let b = MultiStepper::try_new_scaled(&inst).unwrap();
         let _ = b.finish();
     }
 
@@ -972,13 +709,13 @@ mod tests {
         let inst = InstanceBuilder::new()
             .processor_jobs([Job::new(ratio(1, 3), ratio(5, 2))])
             .build();
-        assert_eq!(schedule_unit_grid(&inst), Some(6));
+        assert_eq!(layer_grid(&inst, 0), Some(6));
         // A zero-requirement job's fractional volume does not inflate the
         // grid (it is tracked by step count, not workload units).
         let inst = InstanceBuilder::new()
             .processor_jobs([Job::new(Ratio::ZERO, ratio(5, 7))])
             .processor([ratio(1, 2)])
             .build();
-        assert_eq!(schedule_unit_grid(&inst), Some(2));
+        assert_eq!(layer_grid(&inst, 0), Some(2));
     }
 }

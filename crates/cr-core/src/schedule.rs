@@ -6,10 +6,10 @@
 //! how much progress it makes, when it completes) follows deterministically
 //! from the instance, and is computed by [`Schedule::trace`].
 //!
-//! Algorithms construct schedules through [`ScheduleBuilder`], a forward
-//! simulator that keeps track of the per-processor frontier job and its
-//! remaining work so that the algorithm can base its next decision on the
-//! current state.
+//! Algorithms construct schedules through
+//! [`MultiStepper`](crate::multi::MultiStepper), a forward simulator that
+//! keeps track of the per-processor frontier job and its remaining work so
+//! that the algorithm can base its next decision on the current state.
 
 use crate::error::ScheduleError;
 use crate::instance::Instance;
@@ -394,218 +394,12 @@ impl ScheduleTrace {
     }
 }
 
-/// Forward-simulating schedule builder used by every algorithm in
-/// `cr-algos`.
-///
-/// The builder exposes the *alternative model interpretation* of the paper:
-/// for the active job of each processor it reports the remaining workload
-/// `p̃ = r · p` still to be paid for, and the maximal amount of resource the
-/// job can usefully absorb in the next step.
-#[derive(Debug, Clone)]
-pub struct ScheduleBuilder<'a> {
-    instance: &'a Instance,
-    steps: Vec<Vec<Ratio>>,
-    next_job: Vec<usize>,
-    remaining_volume: Vec<Ratio>,
-}
-
-impl<'a> ScheduleBuilder<'a> {
-    /// Starts building a schedule for `instance`.
-    #[must_use]
-    pub fn new(instance: &'a Instance) -> Self {
-        let m = instance.processors();
-        let remaining_volume = (0..m)
-            .map(|i| {
-                if instance.jobs_on(i) > 0 {
-                    instance.job(JobId::new(i, 0)).volume
-                } else {
-                    Ratio::ZERO
-                }
-            })
-            .collect();
-        ScheduleBuilder {
-            instance,
-            steps: Vec::new(),
-            next_job: vec![0; m],
-            remaining_volume,
-        }
-    }
-
-    /// The instance being scheduled.
-    #[must_use]
-    pub fn instance(&self) -> &Instance {
-        self.instance
-    }
-
-    /// Number of processors.
-    #[must_use]
-    pub fn processors(&self) -> usize {
-        self.instance.processors()
-    }
-
-    /// Number of steps emitted so far.
-    #[must_use]
-    pub fn current_step(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// The active (first unfinished) job of processor `i`.
-    #[must_use]
-    pub fn active_job(&self, processor: usize) -> Option<JobId> {
-        if self.next_job[processor] < self.instance.jobs_on(processor) {
-            Some(JobId::new(processor, self.next_job[processor]))
-        } else {
-            None
-        }
-    }
-
-    /// Whether processor `i` still has unfinished jobs.
-    #[must_use]
-    pub fn is_active(&self, processor: usize) -> bool {
-        self.active_job(processor).is_some()
-    }
-
-    /// Number of unfinished jobs on processor `i` (the paper's `nᵢ(t)`).
-    #[must_use]
-    pub fn unfinished_jobs(&self, processor: usize) -> usize {
-        self.instance.jobs_on(processor) - self.next_job[processor]
-    }
-
-    /// Remaining volume of the active job of processor `i` (zero if idle).
-    #[must_use]
-    pub fn remaining_volume(&self, processor: usize) -> Ratio {
-        if self.is_active(processor) {
-            self.remaining_volume[processor]
-        } else {
-            Ratio::ZERO
-        }
-    }
-
-    /// Remaining workload `r · (remaining volume)` of the active job — the
-    /// total resource still needed to finish it.
-    #[must_use]
-    pub fn remaining_workload(&self, processor: usize) -> Ratio {
-        match self.active_job(processor) {
-            Some(id) => self.instance.job(id).requirement * self.remaining_volume[processor],
-            None => Ratio::ZERO,
-        }
-    }
-
-    /// Maximum resource the active job of processor `i` can usefully absorb
-    /// in a single step: `r · min(remaining volume, 1)`.
-    ///
-    /// For unit-size jobs this equals [`Self::remaining_workload`].
-    #[must_use]
-    pub fn step_demand(&self, processor: usize) -> Ratio {
-        match self.active_job(processor) {
-            Some(id) => {
-                let r = self.instance.job(id).requirement;
-                r * self.remaining_volume[processor].min(Ratio::ONE)
-            }
-            None => Ratio::ZERO,
-        }
-    }
-
-    /// Total remaining workload over all processors (drives Observation 1
-    /// style progress accounting inside algorithms).
-    #[must_use]
-    pub fn total_remaining_workload(&self) -> Ratio {
-        let mut total = Ratio::ZERO;
-        for i in 0..self.processors() {
-            if !self.is_active(i) {
-                continue;
-            }
-            // Workload of the partially processed frontier job …
-            total += self.remaining_workload(i);
-            // … plus the untouched jobs behind it.
-            for j in (self.next_job[i] + 1)..self.instance.jobs_on(i) {
-                total += self.instance.job(JobId::new(i, j)).workload();
-            }
-        }
-        total
-    }
-
-    /// Whether every job of the instance has been completed.
-    #[must_use]
-    pub fn all_done(&self) -> bool {
-        (0..self.processors()).all(|i| !self.is_active(i))
-    }
-
-    /// Applies one time step with the given resource shares and advances the
-    /// simulated state.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug and release builds alike) if the shares are
-    /// infeasible — algorithms must never emit an infeasible step.
-    pub fn push_step(&mut self, shares: Vec<Ratio>) {
-        assert_eq!(
-            shares.len(),
-            self.processors(),
-            "step must assign a share to every processor"
-        );
-        let total = Ratio::sum_slice(&shares);
-        assert!(
-            total <= Ratio::ONE,
-            "step overuses the resource: total assigned share is {total}"
-        );
-        for (i, share) in shares.iter().enumerate() {
-            assert!(
-                share.in_unit_interval(),
-                "share {share} for processor {i} outside [0, 1]"
-            );
-        }
-
-        for (i, &share) in shares.iter().enumerate() {
-            let Some(id) = self.active_job(i) else {
-                continue;
-            };
-            let job = self.instance.job(id);
-            let speed = if job.requirement.is_zero() {
-                Ratio::ONE
-            } else {
-                (share / job.requirement).min(Ratio::ONE)
-            };
-            let step_progress = speed.min(self.remaining_volume[i]);
-            self.remaining_volume[i] -= step_progress;
-            if self.remaining_volume[i].is_zero() {
-                self.next_job[i] += 1;
-                if self.next_job[i] < self.instance.jobs_on(i) {
-                    self.remaining_volume[i] =
-                        self.instance.job(JobId::new(i, self.next_job[i])).volume;
-                }
-            }
-        }
-        self.steps.push(shares);
-    }
-
-    /// Finalizes the schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs remain unfinished — that would be an algorithm bug.
-    #[must_use]
-    pub fn finish(self) -> Schedule {
-        assert!(
-            self.all_done(),
-            "ScheduleBuilder::finish called with unfinished jobs"
-        );
-        Schedule::new(self.steps)
-    }
-
-    /// Returns the schedule built so far without checking completion.  Used
-    /// by tests that intentionally build partial schedules.
-    #[must_use]
-    pub fn into_partial_schedule(self) -> Schedule {
-        Schedule::new(self.steps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
     use crate::job::Job;
+    use crate::multi::MultiStepper;
     use crate::rational::ratio;
 
     fn two_proc_instance() -> Instance {
@@ -733,63 +527,62 @@ mod tests {
     #[test]
     fn builder_tracks_state() {
         let inst = two_proc_instance();
-        let mut b = ScheduleBuilder::new(&inst);
+        let mut b = MultiStepper::new_rational(&inst);
         assert_eq!(b.unfinished_jobs(0), 2);
-        assert_eq!(b.step_demand(0), ratio(1, 2));
-        assert_eq!(b.step_demand(1), ratio(3, 4));
-        assert_eq!(b.total_remaining_workload(), ratio(2, 1));
+        assert_eq!(b.step_demand(0, 0), ratio(1, 2));
+        assert_eq!(b.step_demand(1, 0), ratio(3, 4));
 
-        b.push_step(vec![ratio(1, 2), ratio(1, 2)]);
+        b.push_step(&[ratio(1, 2), ratio(1, 2)]);
         assert_eq!(b.unfinished_jobs(0), 1);
         assert_eq!(b.active_job(0), Some(JobId::new(0, 1)));
         // (1,0) had requirement 3/4 and received 1/2 → remaining workload 1/4.
-        assert_eq!(b.remaining_workload(1), ratio(1, 4));
+        assert_eq!(b.remaining(1, 0), ratio(1, 4));
         assert_eq!(b.active_job(1), Some(JobId::new(1, 0)));
 
-        b.push_step(vec![ratio(1, 2), ratio(1, 4)]);
+        b.push_step(&[ratio(1, 2), ratio(1, 4)]);
         assert_eq!(b.unfinished_jobs(0), 0);
         assert_eq!(b.active_job(1), Some(JobId::new(1, 1)));
 
-        b.push_step(vec![Ratio::ZERO, ratio(1, 4)]);
+        b.push_step(&[Ratio::ZERO, ratio(1, 4)]);
         assert!(b.all_done());
-        let schedule = b.finish();
+        let schedule = b.finish().expect("k = 1 runs finish to a schedule");
         assert_eq!(schedule.makespan(&inst).unwrap(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "overuses the resource")]
+    #[should_panic(expected = "oversubscribes resource 0")]
     fn builder_rejects_overuse() {
         let inst = two_proc_instance();
-        let mut b = ScheduleBuilder::new(&inst);
-        b.push_step(vec![ratio(3, 4), ratio(1, 2)]);
+        let mut b = MultiStepper::new_rational(&inst);
+        b.push_step(&[ratio(3, 4), ratio(1, 2)]);
     }
 
     #[test]
     #[should_panic(expected = "unfinished jobs")]
     fn builder_finish_requires_completion() {
         let inst = two_proc_instance();
-        let b = ScheduleBuilder::new(&inst);
+        let b = MultiStepper::new_rational(&inst);
         let _ = b.finish();
     }
 
     #[test]
     fn builder_and_trace_agree() {
         let inst = two_proc_instance();
-        let mut b = ScheduleBuilder::new(&inst);
+        let mut b = MultiStepper::new_rational(&inst);
         while !b.all_done() {
             // Naive: give everything to the lowest-indexed active processor.
             let mut shares = vec![Ratio::ZERO; inst.processors()];
             let mut left = Ratio::ONE;
             for (i, share) in shares.iter_mut().enumerate() {
                 if b.is_active(i) {
-                    let give = b.step_demand(i).min(left);
+                    let give = b.step_demand(i, 0).min(left);
                     *share = give;
                     left -= give;
                 }
             }
-            b.push_step(shares);
+            b.push_step(&shares);
         }
-        let schedule = b.finish();
+        let schedule = b.finish().expect("k = 1 runs finish to a schedule");
         let trace = schedule.trace(&inst).unwrap();
         assert_eq!(trace.makespan(), schedule.num_steps());
     }

@@ -26,8 +26,9 @@
 
 use crate::instance::Instance;
 use crate::job::JobId;
+use crate::multi::MultiStepper;
 use crate::rational::Ratio;
-use crate::schedule::{Schedule, ScheduleBuilder, ScheduleTrace};
+use crate::schedule::{Schedule, ScheduleTrace};
 
 /// Normalizes `schedule` for `instance` into a non-wasting, progressive and
 /// nested schedule whose makespan does not exceed the original one
@@ -61,34 +62,42 @@ pub fn normalize_from_trace(instance: &Instance, trace: &ScheduleTrace) -> Sched
         (completion, -start)
     };
 
+    // A schedule is single-resource: like the trace, normalization only
+    // sees the base resource of a multi-resource instance.
+    let instance = &*instance.base_resource();
     let m = instance.processors();
-    let mut builder = ScheduleBuilder::new(instance);
+    let mut stepper = MultiStepper::new_rational(instance);
     // Safety valve: a normalized schedule never needs more steps than the
     // total number of jobs plus the original makespan.
     let step_limit = trace.makespan() + instance.total_jobs() + 1;
+    let mut order: Vec<usize> = Vec::with_capacity(m);
+    let mut shares = vec![Ratio::ZERO; m];
 
-    while !builder.all_done() {
+    while !stepper.all_done() {
         assert!(
-            builder.current_step() < step_limit,
+            stepper.current_step() < step_limit,
             "normalization failed to terminate — schedule or instance is inconsistent"
         );
-        let mut order: Vec<usize> = (0..m).filter(|&i| builder.is_active(i)).collect();
+        order.clear();
+        order.extend((0..m).filter(|&i| stepper.is_active(i)));
         // lint: allow(panic_hygiene) — `order` was filtered to active processors on the previous line
-        order.sort_by_key(|&i| priority(builder.active_job(i).expect("active")));
+        order.sort_by_key(|&i| priority(stepper.active_job(i).expect("active")));
 
-        let mut shares = vec![Ratio::ZERO; m];
+        shares.fill(Ratio::ZERO);
         let mut left = Ratio::ONE;
-        for i in order {
+        for &i in &order {
             if left.is_zero() {
                 break;
             }
-            let give = builder.step_demand(i).min(left);
+            let give = stepper.step_demand(i, 0).min(left);
             shares[i] = give;
             left -= give;
         }
-        builder.push_step(shares);
+        stepper.push_step(&shares);
     }
-    builder.finish()
+    let schedule = stepper.finish();
+    // lint: allow(panic_hygiene) — the instance was reduced to one resource above
+    schedule.expect("single-resource runs finish to a schedule")
 }
 
 #[cfg(test)]

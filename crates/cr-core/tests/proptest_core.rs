@@ -1,7 +1,7 @@
 //! Property-based tests for the core model: rational arithmetic laws,
 //! schedule-builder/trace agreement and feasibility invariants.
 
-use cr_core::{Instance, Ratio, Schedule, ScheduleBuilder};
+use cr_core::{Instance, MultiStepper, Ratio, Schedule};
 use proptest::prelude::*;
 
 /// Strategy for moderate rationals (numerators/denominators small enough that
@@ -74,7 +74,7 @@ proptest! {
     fn builder_and_trace_agree(instance in unit_instance(), seed in 0u64..1000) {
         // A deterministic pseudo-random work-conserving policy.
         let m = instance.processors();
-        let mut builder = ScheduleBuilder::new(&instance);
+        let mut builder = MultiStepper::new_rational(&instance);
         let mut state = seed;
         let mut guard = 0usize;
         while !builder.all_done() {
@@ -89,13 +89,13 @@ proptest! {
                 if !builder.is_active(i) {
                     continue;
                 }
-                let give = builder.step_demand(i).min(left);
+                let give = builder.step_demand(i, 0).min(left);
                 shares[i] = give;
                 left -= give;
             }
-            builder.push_step(shares);
+            builder.push_step(&shares);
         }
-        let schedule = builder.finish();
+        let schedule = builder.finish().expect("k = 1 runs finish to a schedule");
         let trace = schedule.trace(&instance).expect("builder produced a feasible schedule");
         prop_assert_eq!(trace.makespan(), schedule.num_steps());
         // The total useful consumption equals the total workload.

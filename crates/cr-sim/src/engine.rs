@@ -3,7 +3,7 @@
 //! The engine owns a workload (one task per core), repeatedly asks an
 //! [`OnlinePolicy`] for a bus-share vector, validates it, advances the cores
 //! and collects metrics.  Internally it runs on the exact scaled-integer
-//! simulation semantics of [`cr_core::ScaledScheduleBuilder`]: the bus is a
+//! simulation semantics of a `u64` [`MultiStepper`]: the bus is a
 //! pool of `capacity` integer units per step (the workload's unit grid), a
 //! policy answers in units, and one simulated step is pure integer
 //! arithmetic — no rational arithmetic, no floating point, and every metric
@@ -14,9 +14,7 @@
 use crate::metrics::{CoreReport, MultiSimReport, SimReport};
 use crate::policies::{CoreView, MultiCoreView, OnlinePolicy};
 use crate::task::{tasks_to_instance, Task};
-use cr_core::{
-    bounds, CancelReason, CancelToken, Instance, MultiStepper, ScaledScheduleBuilder, Schedule,
-};
+use cr_core::{bounds, CancelReason, CancelToken, Instance, MultiStepper, Schedule};
 use std::fmt;
 
 /// How many simulated steps pass between cancel-token checks in the engine
@@ -193,23 +191,25 @@ impl Simulator {
         let cancelled = |reason: CancelReason| SimError::Cancelled { reason };
         token.check().map_err(cancelled)?;
         let mut gate = token.gate(STEP_CHECK_STRIDE);
-        let mut builder =
-            ScaledScheduleBuilder::try_new(&self.instance).ok_or(SimError::GridOverflow)?;
-        let capacity = builder.capacity();
-        let m = self.instance.processors();
+        // The scalar run arbitrates the base resource only.
+        let instance = &*self.instance.base_resource();
+        let mut stepper = MultiStepper::try_new_scaled(instance).ok_or(SimError::GridOverflow)?;
+        let capacity = stepper.capacity(0);
+        let m = instance.processors();
 
         // Completion is recorded *before* the first step too, so a core
         // whose task is already empty reports completion time 0 instead of
         // being credited with the first simulated step.
         let mut completion: Vec<Option<usize>> = (0..m)
-            .map(|i| (builder.unfinished_jobs(i) == 0).then_some(0))
+            .map(|i| (stepper.unfinished_jobs(i) == 0).then_some(0))
             .collect();
         let mut starved = vec![0usize; m];
         let mut consumed_units: u64 = 0;
         let mut wasted_units_per_step: Vec<u64> = Vec::new();
+        let mut views: Vec<CoreView> = Vec::with_capacity(m);
 
         let mut steps = 0usize;
-        while !builder.all_done() {
+        while !stepper.all_done() {
             gate.tick().map_err(cancelled)?;
             if steps >= self.step_limit {
                 return Err(SimError::StepLimit {
@@ -217,14 +217,13 @@ impl Simulator {
                     limit: self.step_limit,
                 });
             }
-            let views: Vec<CoreView> = (0..m)
-                .map(|i| CoreView {
-                    active_requirement: builder.active_requirement_units(i),
-                    step_demand: builder.step_demand_units(i),
-                    remaining_workload: builder.remaining_workload_units(i),
-                    remaining_phases: builder.unfinished_jobs(i),
-                })
-                .collect();
+            views.clear();
+            views.extend((0..m).map(|i| CoreView {
+                active_requirement: stepper.active_requirement(i, 0),
+                step_demand: stepper.step_demand(i, 0),
+                remaining_workload: stepper.remaining(i, 0),
+                remaining_phases: stepper.unfinished_jobs(i),
+            }));
             let shares = policy.allocate(capacity, &views);
             assert_eq!(
                 shares.len(),
@@ -235,29 +234,29 @@ impl Simulator {
                 m
             );
 
-            let mut useful: u64 = 0;
             // lint: allow(cancel_coverage) — bounded: one pass over m processors per simulated step; the step loop polls the gate
-            for i in 0..m {
-                if views[i].is_active() {
-                    useful += shares[i].min(views[i].step_demand);
-                    if shares[i] == 0 && views[i].step_demand > 0 {
-                        starved[i] += 1;
-                    }
+            for (i, view) in views.iter().enumerate() {
+                if view.is_active() && shares[i] == 0 && view.step_demand > 0 {
+                    starved[i] += 1;
                 }
             }
+            // The stepper validates the share vector, panicking on a
+            // malformed one.
+            let useful = stepper.push_step(&shares)[0];
             consumed_units = consumed_units.saturating_add(useful);
             wasted_units_per_step.push(capacity - useful);
-            builder.push_step(shares);
             steps += 1;
             // lint: allow(cancel_coverage) — bounded: completion scan over m processors per step; the step loop polls the gate
             for (i, done_at) in completion.iter_mut().enumerate() {
-                if done_at.is_none() && builder.unfinished_jobs(i) == 0 {
+                if done_at.is_none() && stepper.unfinished_jobs(i) == 0 {
                     *done_at = Some(steps);
                 }
             }
         }
 
-        let schedule = builder.finish();
+        let schedule = stepper
+            .finish()
+            .expect("a single-resource run has a schedule");
         let makespan = steps;
         let per_core: Vec<CoreReport> = self
             .tasks
@@ -396,9 +395,14 @@ impl Simulator {
                     starved[i] += 1;
                 }
             }
-            // The stepper validates shapes, per-share caps and column sums,
+            // The stepper validates per-share caps and column sums,
             // panicking on a malformed matrix exactly like the scalar run.
-            let consumed = stepper.push_step(&shares);
+            assert!(
+                shares.iter().all(|row| row.len() == k),
+                "policy {} returned a share row without {k} entries",
+                policy.name()
+            );
+            let consumed = stepper.push_step(&shares.concat());
             // lint: allow(cancel_coverage) — bounded: k resource layers per step; the step loop polls the gate
             for (r, &used) in consumed.iter().enumerate() {
                 consumed_units[r] = consumed_units[r].saturating_add(used);
