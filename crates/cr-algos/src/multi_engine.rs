@@ -32,15 +32,20 @@
 //!
 //! # Search structure
 //!
-//! Round-by-round BFS with exact-duplicate removal and the quadratic
-//! per-processor domination filter of Lemma 4: configuration `a` dominates
-//! `b` when every processor has completed more jobs, or equally many with
-//! at least as much spent on **every** layer of the frontier job.  Every
-//! emitted choice completes at least one job (singletons always fit:
-//! remaining ≤ requirement ≤ capacity on every layer), so the search
-//! terminates within `total_jobs + 1` rounds.  The search is value-only —
-//! multi-resource schedules are not reconstructed; the solver layer
-//! reports makespans and rejects `want_schedule` with a structured error.
+//! Round-by-round BFS with exact-duplicate removal (successors are probed
+//! in a scratch buffer and copied only when new) and the per-processor
+//! domination filter of Lemma 4: configuration `a` dominates `b` when every
+//! processor has completed more jobs, or equally many with at least as much
+//! spent on **every** layer of the frontier job.  The filter is the shared
+//! indexed one of the `frontier` module, run in its progress order
+//! (Σ completed descending, then (completed, spent) lexicographically
+//! descending — no spent values are summed, so nothing overflows), with the
+//! survivors kept in insertion order.  Every emitted choice completes at
+//! least one job (singletons always fit: remaining ≤ requirement ≤ capacity
+//! on every layer), so the search terminates within `total_jobs + 1`
+//! rounds.  The search is value-only — multi-resource schedules are not
+//! reconstructed; the solver layer reports makespans and rejects
+//! `want_schedule` with a structured error.
 //!
 //! The enumeration is a plain subset DFS with an all-layer overflow-checked
 //! fit test.  The scalar enumerator's sorted-ascending break-prune does
@@ -48,10 +53,12 @@
 //! candidate that fails the fit test cannot end its level — the DFS skips
 //! it and keeps descending.
 
+use crate::frontier::{self, DominanceFilter, FILTER_CHECK_STRIDE};
 use crate::subset_enum::CHOICE_CHECK_STRIDE;
 use cr_core::{CancelGate, CancelReason, CancelToken, Instance, JobId, Ratio, ScaledInstance};
-use std::collections::HashSet;
+use rustc_hash::FxHashSet;
 use std::hash::Hash;
+use std::rc::Rc;
 
 /// The arithmetic of one search: `u64` units on per-resource LCM grids or
 /// exact [`Ratio`]s with per-resource capacity `1`.
@@ -196,10 +203,6 @@ impl<V: SearchUnit> MConfig<V> {
     }
 }
 
-/// Per-candidate check stride of the quadratic domination filter (mirrors
-/// the scalar search's stride).
-const FILTER_CHECK_STRIDE: u32 = 64;
-
 /// The result of one multi-resource search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MultiSearch {
@@ -212,13 +215,13 @@ pub(crate) struct MultiSearch {
 /// Streams every normalized successor of `config` into `emit`.
 ///
 /// See the module docs for the choice class.  `emit` receives each
-/// successor configuration; exact duplicates may be emitted (the BFS
-/// deduplicates).
+/// successor configuration in a scratch buffer it must copy to keep; exact
+/// duplicates may be emitted (the BFS deduplicates).
 fn successors<V: SearchUnit>(
     view: &MultiView<V>,
     config: &MConfig<V>,
     gate: &mut CancelGate,
-    emit: &mut impl FnMut(MConfig<V>),
+    emit: &mut impl FnMut(&MConfig<V>),
 ) -> Result<(), CancelReason> {
     let m = view.processors();
     let k = view.resources();
@@ -258,7 +261,7 @@ fn successors<V: SearchUnit>(
         for &e in &active {
             next.complete(e, k);
         }
-        emit(next);
+        emit(&next);
         return Ok(());
     }
 
@@ -277,7 +280,8 @@ fn successors<V: SearchUnit>(
         positives: &positives,
         chosen: Vec::new(),
         in_set: vec![false; a],
-        sums: vec![V::ZERO; k],
+        sums: vec![V::ZERO; (positives.len() + 1) * k],
+        next: config.clone(),
     };
     // lint: allow(cancel_coverage) — bounded: marks the <= m zero entries before the gated DFS below
     for &z in &zeros {
@@ -299,8 +303,13 @@ struct Dfs<'a, V> {
     chosen: Vec<usize>,
     /// Membership of the current finished set (zeros plus chosen).
     in_set: Vec<bool>,
-    /// Per-layer sums of the chosen entries' remainings.
+    /// Per-layer sums of the chosen entries' remainings, one `k`-slot
+    /// level per DFS depth: level `d` holds the sums of the first `d`
+    /// chosen entries, so an extension writes level `d + 1` and a return
+    /// needs no undo.
     sums: Vec<V>,
+    /// The successor being emitted, rebuilt in place per emission.
+    next: MConfig<V>,
 }
 
 impl<V: SearchUnit> Dfs<'_, V> {
@@ -308,30 +317,27 @@ impl<V: SearchUnit> Dfs<'_, V> {
         &mut self,
         start: usize,
         gate: &mut CancelGate,
-        emit: &mut impl FnMut(MConfig<V>),
+        emit: &mut impl FnMut(&MConfig<V>),
     ) -> Result<(), CancelReason> {
         let k = self.view.resources();
+        let depth = self.chosen.len();
         for pos in start..self.positives.len() {
             gate.tick()?;
             let e = self.positives[pos];
-            // All-layer overflow-checked fit test; an overflowing sum is a
-            // fortiori larger than the capacity.
-            let mut fits = true;
-            let mut new_sums = self.sums.clone();
-            // lint: allow(cancel_coverage) — bounded: k resource layers per gated DFS extension
-            for (r, slot) in new_sums.iter_mut().enumerate() {
-                match self.sums[r].checked_add(self.rem[e * k + r]) {
-                    Some(s) if s <= self.view.caps[r] => *slot = s,
-                    _ => {
-                        fits = false;
-                        break;
-                    }
+            // All-layer overflow-checked fit test into the next level; an
+            // overflowing sum is a fortiori larger than the capacity.
+            let (below, above) = self.sums.split_at_mut((depth + 1) * k);
+            let level = &below[depth * k..];
+            let fits = (0..k).all(|r| match level[r].checked_add(self.rem[e * k + r]) {
+                Some(s) if s <= self.view.caps[r] => {
+                    above[r] = s;
+                    true
                 }
-            }
+                _ => false,
+            });
             if !fits {
                 continue;
             }
-            let old_sums = std::mem::replace(&mut self.sums, new_sums);
             self.chosen.push(e);
             self.in_set[e] = true;
 
@@ -340,7 +346,6 @@ impl<V: SearchUnit> Dfs<'_, V> {
 
             self.in_set[e] = false;
             self.chosen.pop();
-            self.sums = old_sums;
         }
         Ok(())
     }
@@ -350,12 +355,13 @@ impl<V: SearchUnit> Dfs<'_, V> {
     fn emit_with_receivers(
         &mut self,
         gate: &mut CancelGate,
-        emit: &mut impl FnMut(MConfig<V>),
+        emit: &mut impl FnMut(&MConfig<V>),
     ) -> Result<(), CancelReason> {
         let k = self.view.resources();
         let a = self.active.len();
+        let level = self.chosen.len() * k;
         let leftovers: Vec<V> = (0..k)
-            .map(|r| self.view.caps[r].sub(self.sums[r]))
+            .map(|r| self.view.caps[r].sub(self.sums[level + r]))
             .collect();
         // Per resource: `None` (waste the leftover) plus every active entry
         // outside the finished set whose remaining on the layer strictly
@@ -380,7 +386,8 @@ impl<V: SearchUnit> Dfs<'_, V> {
         let mut pick = vec![0usize; k];
         loop {
             gate.tick()?;
-            let mut next = self.config.clone();
+            let next = &mut self.next;
+            next.clone_from(self.config);
             // lint: allow(cancel_coverage) — bounded: completes the <= m finished entries per gated emission
             for &e in self.zeros.iter().chain(self.chosen.iter()) {
                 next.complete(self.active[e], k);
@@ -442,40 +449,39 @@ pub(crate) fn search_cancellable<V: SearchUnit>(
     let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
     let max_rounds = view.total_jobs() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
-    let mut frontier = vec![initial];
+    let mut filter = DominanceFilter::new(m);
+    let mut frontier = vec![Rc::new(initial)];
     let mut expanded = 0usize;
     for round in 1..=round_limit {
         token.check()?;
-        let mut seen: HashSet<MConfig<V>> = HashSet::new();
-        let mut next: Vec<MConfig<V>> = Vec::new();
+        // Probe with the borrowed scratch successor first: duplicates cost
+        // no allocation, and a new configuration is copied once and shared
+        // between the set and the round.
+        let mut seen: FxHashSet<Rc<MConfig<V>>> = FxHashSet::default();
+        let mut next: Vec<Rc<MConfig<V>>> = Vec::new();
         for node in &frontier {
             expanded += 1;
             successors(view, node, &mut gate, &mut |cfg| {
-                if seen.insert(cfg.clone()) {
+                if !seen.contains(cfg) {
+                    let cfg = Rc::new(cfg.clone());
+                    seen.insert(Rc::clone(&cfg));
                     next.push(cfg);
                 }
             })?;
         }
+        drop(seen);
 
         // The Lemma 4 domination filter, extended componentwise over the
         // layers (see `MConfig::dominates`).
-        let mut keep = vec![true; next.len()];
-        for b in 0..next.len() {
-            filter_gate.tick()?;
-            if !keep[b] {
-                continue;
-            }
-            // lint: allow(cancel_coverage) — bounded: pairwise domination scan over one round; the outer loop polls the filter gate
-            for c in 0..next.len() {
-                if b == c || !keep[c] {
-                    continue;
-                }
-                if next[b].dominates(&next[c], k) {
-                    keep[c] = false;
-                }
-            }
-        }
-        let filtered: Vec<MConfig<V>> = next
+        let (keep, _checks) = frontier::keep_mask(
+            &mut filter,
+            next.len(),
+            |i| &next[i].completed,
+            |i| &next[i].spent,
+            |a, b| next[a].dominates(&next[b], k),
+            &mut filter_gate,
+        )?;
+        let filtered: Vec<Rc<MConfig<V>>> = next
             .into_iter()
             .zip(keep)
             .filter_map(|(cfg, kept)| kept.then_some(cfg))

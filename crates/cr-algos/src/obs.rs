@@ -31,6 +31,12 @@ pub(crate) fn optm_round_survivors() -> &'static Counter {
     cached(&C, names::OPTM_ROUND_SURVIVORS)
 }
 
+/// `dominates` calls made by the rounds' domination filter.
+pub(crate) fn optm_dominance_checks() -> &'static Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    cached(&C, names::OPTM_DOMINANCE_CHECKS)
+}
+
 /// Subset-DFS extension steps in the shared choice enumerator.
 pub(crate) fn subset_dfs_nodes() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();

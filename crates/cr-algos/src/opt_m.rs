@@ -21,6 +21,15 @@
 //! surfaced as a structured [`crate::SearchError`]) and the reference the
 //! property tests cross-check against.
 //!
+//! Both paths prune each round with the shared indexed domination filter
+//! (the internal `frontier` module): candidates are compared only with
+//! kept survivors whose completed-count vector is componentwise at least
+//! their own, since no other configuration can dominate them.  The
+//! rational search feeds it Σ completed descending, then (completed,
+//! spent) lexicographically descending, and keeps its survivors in
+//! insertion order; the scaled engine keeps its (Σ completed, Σ spent)
+//! order.
+//!
 //! Both paths enumerate successors through the shared pruned DFS enumerator
 //! (the internal `subset_enum` module), so any number of simultaneously active
 //! processors is supported.  The pre-ISSUE-4 rational path scanned
@@ -28,6 +37,7 @@
 //! processors — a debug panic, and a silent wrap to a wrong (possibly
 //! empty) successor enumeration in release builds.
 
+use crate::frontier::{self, DominanceFilter, FILTER_CHECK_STRIDE};
 use crate::scaled_engine;
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
 use crate::traits::Scheduler;
@@ -221,6 +231,7 @@ fn run_search_limited_cancellable(
 
     let mut gate = token.gate(CHOICE_CHECK_STRIDE);
     let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
+    let mut filter = DominanceFilter::new(m);
     let max_rounds = instance.total_jobs() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
     let mut found_final = false;
@@ -251,28 +262,23 @@ fn run_search_limited_cancellable(
         // Remove dominated configurations (Lemma 4 guarantees that among
         // step-equal extended configurations one dominates, so pruning by
         // plain domination keeps an optimal continuation around).
-        let mut keep = vec![true; next.len()];
-        for a in 0..next.len() {
-            filter_gate.tick()?;
-            if !keep[a] {
-                continue;
-            }
-            // lint: allow(cancel_coverage) — bounded: pairwise domination scan over one round; the round loop polls token.check() each iteration
-            for b in 0..next.len() {
-                if a == b || !keep[b] {
-                    continue;
-                }
-                if next[a].config.dominates(&next[b].config) {
-                    keep[b] = false;
-                }
-            }
-        }
-        crate::obs::optm_round_candidates().add(crate::obs::delta(next.len()));
-        let filtered: Vec<Node> = next
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(node, k)| if k { Some(node) } else { None })
-            .collect();
+        let filtered: Vec<Node> = {
+            let _filter_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_FILTER);
+            let (keep, checks) = frontier::keep_mask(
+                &mut filter,
+                next.len(),
+                |i| &next[i].config.completed,
+                |i| &next[i].config.spent,
+                |a, b| next[a].config.dominates(&next[b].config),
+                &mut filter_gate,
+            )?;
+            crate::obs::optm_dominance_checks().add(checks);
+            crate::obs::optm_round_candidates().add(crate::obs::delta(next.len()));
+            next.into_iter()
+                .zip(keep)
+                .filter_map(|(node, kept)| kept.then_some(node))
+                .collect()
+        };
         crate::obs::optm_round_survivors().add(crate::obs::delta(filtered.len()));
 
         let done = filtered.iter().any(|n| n.config.is_final(instance));
@@ -289,11 +295,6 @@ fn run_search_limited_cancellable(
         Ok(None)
     }
 }
-
-/// The per-candidate check stride for the quadratic dominance filter
-/// (each outer iteration scans every other survivor, so checks stay cheap
-/// relative to the work between them even at a small stride).
-const FILTER_CHECK_STRIDE: u32 = 64;
 
 /// One rational configuration search answering both questions at once:
 /// the makespan plus (when requested) the reconstructed schedule, so the

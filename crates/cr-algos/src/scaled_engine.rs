@@ -29,10 +29,18 @@
 //! `u32` parent-index headroom surfaces as a structured [`SearchError`]
 //! instead of a panic; callers fall back to the rational reference search.
 //!
+//! Each round ends with the shared indexed domination filter
+//! (the `frontier` module), fed in (Σ completed, Σ spent) descending order:
+//! a dominator has at least the completed sum of what it dominates, and on
+//! equal sums at least its spent sum, so it is processed first.  The
+//! survivors keep that processing order, which fixes the parent indices
+//! every schedule replay walks.
+//!
 //! The engine is internal; its correctness contract is "identical makespans
 //! to the rational reference solvers", enforced by unit tests here and by
 //! the `proptest_scaled` cross-check suite.
 
+use crate::frontier::{DominanceFilter, FILTER_CHECK_STRIDE};
 use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
 use cr_core::{
     CancelGate, CancelReason, CancelToken, Instance, MultiStepper, Ratio, ScaledInstance, Schedule,
@@ -322,12 +330,6 @@ pub(crate) fn run_search_chunked(
         .map(|rounds| rounds.expect("uncapped search always reaches a final configuration"))
 }
 
-/// How many dominance-filter candidates pass between token checks: one
-/// candidate costs a kept-prefix scan of slice compares (microseconds on
-/// the largest observed rounds), so this stride checks far more often than
-/// the [`cr_core::cancel::CHECK_INTERVAL_MS`] contract requires.
-const FILTER_CHECK_STRIDE: u32 = 64;
-
 /// The configuration search with all knobs: expansion chunk size, round
 /// cap and cancellation.  `Ok(None)` is only produced when `round_cap` cuts
 /// the search off.
@@ -358,6 +360,7 @@ fn run_search_impl(
     const MIN_PARALLEL_ROUND: usize = 256;
 
     let mut serial_scratch = SuccScratch::default();
+    let mut filter = DominanceFilter::new(m);
     let max_rounds = scaled.total_jobs() + 1;
     let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
     let mut found_final = false;
@@ -433,46 +436,36 @@ fn run_search_impl(
             });
         }
 
-        // Remove dominated configurations (Lemma 4).  The surviving set is
-        // the unique maximal antichain of the domination order, so it can be
-        // computed with one forward pass over candidates sorted by
-        // (Σ completed, Σ spent) descending: `a` dominates `b` implies
-        // Σc(a) ≥ Σc(b), and on equality Σs(a) ≥ Σs(b), so every dominator
-        // precedes what it dominates and only the kept prefix must be
-        // checked — O(candidates · survivors) integer slice compares instead
-        // of O(candidates²).  Spent sums are accumulated in u128: with the
-        // relaxed 2·D capacity headroom an m-fold unit sum may exceed u64.
-        let mut order: Vec<(u64, u128, u32)> = next
-            .iter()
-            .enumerate()
-            .map(|(idx, node)| {
-                let sum_completed: u64 = node.config[..m].iter().sum();
-                let sum_spent: u128 = node.config[m..].iter().map(|&s| u128::from(s)).sum();
-                (
-                    sum_completed,
-                    sum_spent,
-                    // lint: allow(panic_hygiene) — the surrounding round was size-checked against u32 headroom, so `idx` fits
-                    u32::try_from(idx).expect("round size gated above"),
-                )
-            })
-            .collect();
-        order.sort_unstable_by(|a, b| b.cmp(a));
-        let mut kept: Vec<u32> = Vec::with_capacity(order.len());
-        let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
-        for &(_, _, idx) in &order {
-            filter_gate.tick().map_err(cancelled)?;
-            let candidate = &next[idx as usize].config;
-            if !kept
+        // Remove dominated configurations (Lemma 4) with the shared indexed
+        // filter.  It needs every dominator before what it dominates:
+        // `a` dominates `b` implies Σc(a) ≥ Σc(b), and on equality
+        // Σs(a) ≥ Σs(b), so (Σ completed, Σ spent) descending is such an
+        // order.  Spent sums are accumulated in u128: with the relaxed 2·D
+        // capacity headroom an m-fold unit sum may exceed u64.
+        let filtered: Vec<ScaledNode> = {
+            let _filter_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_FILTER);
+            let mut order: Vec<(u64, u128, usize)> = next
                 .iter()
-                .any(|&k| dominates(m, &next[k as usize].config, candidate))
-            {
-                kept.push(idx);
-            }
-        }
-        let filtered: Vec<ScaledNode> = kept
-            .into_iter()
-            .map(|idx| next[idx as usize].clone())
-            .collect();
+                .enumerate()
+                .map(|(idx, node)| {
+                    let sum_completed: u64 = node.config[..m].iter().sum();
+                    let sum_spent: u128 = node.config[m..].iter().map(|&s| u128::from(s)).sum();
+                    (sum_completed, sum_spent, idx)
+                })
+                .collect();
+            order.sort_unstable_by(|a, b| b.cmp(a));
+            let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
+            let out = filter
+                .filter(
+                    order.iter().map(|&(_, _, idx)| idx),
+                    |idx| &next[idx].config[..m],
+                    |a, b| dominates(m, &next[a].config, &next[b].config),
+                    &mut filter_gate,
+                )
+                .map_err(cancelled)?;
+            crate::obs::optm_dominance_checks().add(out.checks);
+            out.kept.iter().map(|&idx| next[idx].clone()).collect()
+        };
         crate::obs::optm_round_candidates().add(crate::obs::delta(next.len()));
         crate::obs::optm_round_survivors().add(crate::obs::delta(filtered.len()));
 
@@ -986,6 +979,48 @@ mod tests {
         assert!(dominates(2, &a, &a));
         assert!(dominates(2, &a, &b));
         assert!(!dominates(2, &b, &a));
+    }
+
+    #[test]
+    fn survivor_order_is_pinned() {
+        // Each round keeps its survivors in the domination filter's
+        // processing order, (Σ completed, Σ spent) descending with ties to
+        // the higher index; the schedule replay reads parents by index, so
+        // this order is part of every replayed response.
+        let s = scaled(&[&[60, 40], &[30, 90], &[55, 45]]);
+        assert_eq!(s.capacity(), 20);
+        let rounds = run_search(&s).unwrap();
+        let configs: Vec<Vec<Vec<u64>>> = rounds
+            .iter()
+            .map(|round| round.iter().map(|n| n.config.to_vec()).collect())
+            .collect();
+        let want: Vec<Vec<Vec<u64>>> = vec![
+            vec![vec![0, 0, 0, 0, 0, 0]],
+            vec![
+                vec![0, 1, 1, 3, 0, 0],
+                vec![1, 1, 0, 0, 0, 2],
+                vec![0, 0, 1, 9, 0, 0],
+                vec![1, 0, 0, 0, 0, 8],
+            ],
+            vec![
+                vec![2, 1, 1, 0, 3, 0],
+                vec![1, 1, 2, 0, 2, 0],
+                vec![2, 1, 0, 0, 12, 2],
+                vec![0, 1, 2, 3, 11, 0],
+                vec![1, 1, 1, 0, 11, 0],
+                vec![0, 2, 1, 3, 0, 2],
+                vec![0, 2, 1, 5, 0, 0],
+                vec![1, 2, 0, 0, 0, 4],
+                vec![1, 2, 0, 2, 0, 2],
+            ],
+            vec![
+                vec![2, 1, 2, 0, 14, 0],
+                vec![2, 2, 1, 0, 0, 5],
+                vec![1, 2, 2, 4, 0, 0],
+            ],
+            vec![vec![2, 2, 2, 0, 0, 0]],
+        ];
+        assert_eq!(configs, want);
     }
 
     #[test]

@@ -18,7 +18,17 @@
 //!
 //! Writes `BENCH_exact.json` with per-case medians and speedup factors
 //! (the solver-granularity record of the ISSUE-2 ≥5× acceptance target; the
-//! pipeline-level number lives in `BENCH_pipeline.json`).
+//! pipeline-level number lives in `BENCH_pipeline.json`).  A case's
+//! `scaled_ms` and `rational_ms` are the median wall time of one pass over
+//! **all** of the case's `instances`, not a per-instance time.
+//!
+//! Every `OptM` case also carries `work`: the search's deterministic work
+//! counters — rounds, candidates entering the domination filter, survivors
+//! and the filter's `dominates` calls — read as `cr-obs` registry deltas
+//! (`optm.rounds`, `optm.round_candidates`, `optm.round_survivors`,
+//! `optm.dominance_checks`) over one extra, untimed scaled pass.  They do
+//! not vary with machine noise, so CI compares them with the committed
+//! file exactly (dominance checks as an upper bound).
 //!
 //! Usage: `cargo run --release -p cr-bench --bin bench_exact --
 //! [--out-dir DIR] [--iters N]`
@@ -92,12 +102,33 @@ fn method_makespan(method: &str, engine: EnginePreference, instance: &Instance) 
         .expect("bench methods report makespans")
 }
 
+/// The OPT(m) work counters of a case's `work` entry: JSON field and
+/// registry counter.
+const WORK_COUNTERS: [(&str, &str); 4] = [
+    ("rounds", cr_obs::names::OPTM_ROUNDS),
+    ("candidates", cr_obs::names::OPTM_ROUND_CANDIDATES),
+    ("survivors", cr_obs::names::OPTM_ROUND_SURVIVORS),
+    ("dominance_checks", cr_obs::names::OPTM_DOMINANCE_CHECKS),
+];
+
+/// Runs `pass` once and returns what it added to each of
+/// [`WORK_COUNTERS`] in the global registry.
+fn work_of(pass: impl FnOnce()) -> [u64; 4] {
+    let registry = cr_obs::Registry::global();
+    let read = || WORK_COUNTERS.map(|(_, name)| registry.counter(name).value());
+    let before = read();
+    pass();
+    let after = read();
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
 struct CaseResult {
     case: String,
     solver: String,
     instances: usize,
     scaled_ms: f64,
     rational_ms: f64,
+    work: Option<[u64; 4]>,
 }
 
 /// Times one (case, method) pair: the method's scaled core against a
@@ -132,12 +163,18 @@ fn measure(
         scaled_sum, rational_sum,
         "scaled and rational cores disagree on a makespan ({scaled_method} vs {rational_method})"
     );
+    let work = (scaled_method == "OptM").then(|| {
+        work_of(|| {
+            sum_over(scaled_method, scaled_engine);
+        })
+    });
     out.push(CaseResult {
         case: case.into(),
         solver: scaled_method.to_string(),
         instances: instances.len(),
         scaled_ms,
         rational_ms,
+        work,
     });
 }
 
@@ -273,6 +310,21 @@ fn main() {
         );
     }
 
+    print!("\n{:<24}", "OptM work (one pass)");
+    for (field, _) in WORK_COUNTERS {
+        print!(" {field:>16}");
+    }
+    println!();
+    for r in &results {
+        if let Some(work) = &r.work {
+            print!("{:<24}", r.case);
+            for value in work {
+                print!(" {value:>16}");
+            }
+            println!();
+        }
+    }
+
     let json = results_json(&results);
     std::fs::create_dir_all(&args.out_dir).expect("create output directory");
     let path = args.out_dir.join("BENCH_exact.json");
@@ -285,7 +337,7 @@ fn results_json(results: &[CaseResult]) -> String {
     let cases: Vec<serde::Value> = results
         .iter()
         .map(|r| {
-            serde::Value::Object(vec![
+            let mut fields = vec![
                 ("case".to_string(), serde::Value::String(r.case.clone())),
                 ("solver".to_string(), serde::Value::String(r.solver.clone())),
                 (
@@ -306,7 +358,21 @@ fn results_json(results: &[CaseResult]) -> String {
                         r.rational_ms / r.scaled_ms.max(1e-9),
                     ))),
                 ),
-            ])
+            ];
+            if let Some(work) = &r.work {
+                let counters = WORK_COUNTERS
+                    .iter()
+                    .zip(work)
+                    .map(|(&(field, _), &n)| {
+                        (
+                            field.to_string(),
+                            serde::Value::Number(serde::Number::Int(i128::from(n))),
+                        )
+                    })
+                    .collect();
+                fields.push(("work".to_string(), serde::Value::Object(counters)));
+            }
+            serde::Value::Object(fields)
         })
         .collect();
     let root = serde::Value::Object(vec![
