@@ -28,6 +28,7 @@
 
 pub mod arbitrary;
 pub mod brute_force;
+mod config_search;
 mod frontier;
 pub mod greedy_balance;
 pub mod heuristics;

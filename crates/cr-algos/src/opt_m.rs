@@ -175,9 +175,9 @@ pub(crate) fn successors_cancellable(
 /// One node of the round-by-round search, with a back pointer for schedule
 /// reconstruction.
 #[derive(Debug, Clone)]
-struct Node {
-    config: Config,
-    parent: usize,
+pub(crate) struct Node {
+    pub(crate) config: Config,
+    pub(crate) parent: usize,
     choice: Option<StepChoice>,
 }
 
@@ -191,7 +191,7 @@ fn assert_unit(instance: &Instance) {
 /// Runs the configuration search and returns, per round, the surviving
 /// (non-dominated) nodes.  The search stops after the first round containing
 /// a final configuration.
-fn run_search(instance: &Instance) -> Vec<Vec<Node>> {
+pub(crate) fn run_search(instance: &Instance) -> Vec<Vec<Node>> {
     // lint: allow(panic_hygiene) — with no round cap the search always reaches a final configuration, so the limited form never returns None
     run_search_limited(instance, None).expect("uncapped search reaches a final configuration")
 }
@@ -449,7 +449,7 @@ impl Scheduler for OptM {
 
 /// Reconstructs an optimal schedule from a finished rational search by
 /// back-tracing the winner and replaying the per-step decisions.
-fn schedule_from_rounds(instance: &Instance, rounds: &[Vec<Node>]) -> Schedule {
+pub(crate) fn schedule_from_rounds(instance: &Instance, rounds: &[Vec<Node>]) -> Schedule {
     let last = rounds.len() - 1;
     if last == 0 {
         return Schedule::empty();
