@@ -2,24 +2,21 @@
 //!
 //! The solver explores the same normalized step space as
 //! [`crate::opt_m`] (at least one frontier job completes per step, the
-//! leftover goes to at most one job — justified by Lemma 1, enumerated by
-//! the shared width-independent pruned DFS of `crate::subset_enum`), but
-//! performs a memoized depth-first search **without** the domination
-//! pruning of Algorithm 2.  Its running time is exponential, which is fine for the small
-//! instances where it serves as an independent reference for
+//! leftover goes to at most one job per resource — justified by Lemma 1),
+//! but performs a memoized depth-first search **without** the domination
+//! pruning of Algorithm 2.  Its running time is exponential, which is fine
+//! for the small instances where it serves as an independent reference for
 //! `OptResAssignment`, `OptResAssignment2` and the approximation-ratio
 //! experiments.
+//!
+//! The DFS lives in the internal `config_search` module next to the
+//! round-by-round search, written once over both arithmetics; this module
+//! picks `u64` units when the instance's grid fits and exact `Ratio`s
+//! otherwise, and [`brute_force_makespan_rational`] always runs on `Ratio`s
+//! for cross-checking.
 
-//! The hot path runs the memoized search on a [`ScaledInstance`] through
-//! the internal `scaled_engine` module; the original `Ratio`-based search is retained as
-//! [`brute_force_makespan_rational`] for cross-checking and as the overflow
-//! fallback.
-
-use crate::opt_m::{successors_cancellable, Config};
-use crate::scaled_engine;
-use crate::subset_enum::CHOICE_CHECK_STRIDE;
-use cr_core::{bounds, CancelGate, CancelReason, CancelToken, Instance, ScaledInstance};
-use std::collections::HashMap;
+use crate::config_search::{self, SearchUnit, View};
+use cr_core::{bounds, CancelToken, Instance, ScaledInstance};
 
 /// Search statistics of a brute-force run (useful for reporting how much
 /// work the domination pruning of Algorithm 2 saves).
@@ -29,6 +26,21 @@ pub struct SearchStats {
     pub states: usize,
     /// Number of successor expansions performed.
     pub expansions: usize,
+}
+
+fn assert_unit(instance: &Instance) {
+    assert!(
+        instance.is_unit_size(),
+        "brute force solver requires unit-size jobs"
+    );
+}
+
+/// The uncancellable DFS on one view.
+fn run<V: SearchUnit>(view: &View<V>) -> (usize, SearchStats) {
+    let (best, states, expansions) = config_search::brute_force(view, &CancelToken::never())
+        // lint: allow(panic_hygiene) — a never-token cannot fire
+        .expect("a never token cannot fire");
+    (best, SearchStats { states, expansions })
 }
 
 /// Computes the optimal makespan by exhaustive search.
@@ -43,41 +55,22 @@ pub fn brute_force_makespan(instance: &Instance) -> usize {
 
 /// Like [`brute_force_makespan`] but also reports search statistics.
 ///
-/// Runs on the scaled-integer engine whenever the instance's requirement
-/// denominators admit a `u64` LCM, falling back to the rational search
-/// otherwise.
-#[must_use]
-pub fn brute_force_with_stats(instance: &Instance) -> (usize, SearchStats) {
-    brute_force_with_stats_cancellable(instance, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("a never token cannot fire")
-}
-
-/// [`brute_force_with_stats`] with cooperative cancellation on both the
-/// scaled and the rational path.
+/// Runs on `u64` units whenever the instance's requirement denominators
+/// admit a `u64` LCM, and on exact rationals otherwise.
 ///
 /// # Panics
 ///
 /// Panics if the instance contains non-unit size jobs.
-pub(crate) fn brute_force_with_stats_cancellable(
-    instance: &Instance,
-    token: &CancelToken,
-) -> Result<(usize, SearchStats), CancelReason> {
-    assert!(
-        instance.is_unit_size(),
-        "brute force solver requires unit-size jobs"
-    );
+#[must_use]
+pub fn brute_force_with_stats(instance: &Instance) -> (usize, SearchStats) {
+    assert_unit(instance);
     match ScaledInstance::try_new(instance) {
-        Some(scaled) => {
-            let (result, states, expansions) =
-                scaled_engine::brute_force_cancellable(&scaled, token)?;
-            Ok((result, SearchStats { states, expansions }))
-        }
-        None => brute_force_with_stats_rational_cancellable(instance, token),
+        Some(scaled) => run(&View::from_scaled(&scaled)),
+        None => run(&View::rational(instance)),
     }
 }
 
-/// The original `Ratio`-arithmetic exhaustive search (reference path).
+/// The exhaustive search in exact `Ratio` arithmetic (reference path).
 ///
 /// # Panics
 ///
@@ -88,63 +81,14 @@ pub fn brute_force_makespan_rational(instance: &Instance) -> usize {
 }
 
 /// Like [`brute_force_makespan_rational`] but also reports statistics.
-#[must_use]
-pub fn brute_force_with_stats_rational(instance: &Instance) -> (usize, SearchStats) {
-    brute_force_with_stats_rational_cancellable(instance, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("a never token cannot fire")
-}
-
-/// [`brute_force_with_stats_rational`] with cooperative cancellation: the
-/// token is checked per expansion and (through the shared gate) per DFS
-/// extension inside the successor enumeration.
 ///
 /// # Panics
 ///
 /// Panics if the instance contains non-unit size jobs.
-pub(crate) fn brute_force_with_stats_rational_cancellable(
-    instance: &Instance,
-    token: &CancelToken,
-) -> Result<(usize, SearchStats), CancelReason> {
-    assert!(
-        instance.is_unit_size(),
-        "brute force solver requires unit-size jobs"
-    );
-    token.check()?;
-    let m = instance.processors();
-    let mut memo: HashMap<Config, usize> = HashMap::new();
-    let mut stats = SearchStats::default();
-    let mut gate = token.gate(CHOICE_CHECK_STRIDE);
-    let initial = Config::initial(m);
-    let result = search(instance, &initial, &mut memo, &mut gate, &mut stats)?;
-    stats.states = memo.len();
-    Ok((result, stats))
-}
-
-fn search(
-    instance: &Instance,
-    config: &Config,
-    memo: &mut HashMap<Config, usize>,
-    gate: &mut CancelGate,
-    stats: &mut SearchStats,
-) -> Result<usize, CancelReason> {
-    if config.is_final(instance) {
-        return Ok(0);
-    }
-    if let Some(&v) = memo.get(config) {
-        return Ok(v);
-    }
-    gate.tick()?;
-    stats.expansions += 1;
-    let mut best = usize::MAX;
-    for (next, _choice) in successors_cancellable(instance, config, gate)? {
-        let sub = search(instance, &next, memo, gate, stats)?;
-        if sub != usize::MAX {
-            best = best.min(sub + 1);
-        }
-    }
-    memo.insert(config.clone(), best);
-    Ok(best)
+#[must_use]
+pub fn brute_force_with_stats_rational(instance: &Instance) -> (usize, SearchStats) {
+    assert_unit(instance);
+    run(&View::rational(instance))
 }
 
 /// Convenience wrapper asserting that a claimed makespan is optimal; returns
@@ -257,20 +201,18 @@ mod tests {
     #[test]
     fn cancelled_rational_brute_force_stops_early() {
         let inst = Instance::unit_from_percentages(&[&[80, 20], &[70, 30], &[10, 90]]);
+        let rational = View::rational(&inst);
+        let scaled = View::from_scaled(&ScaledInstance::try_new(&inst).unwrap());
         let token = CancelToken::new();
         token.cancel();
-        assert_eq!(
-            brute_force_with_stats_rational_cancellable(&inst, &token),
-            Err(CancelReason::Cancelled)
-        );
-        assert_eq!(
-            brute_force_with_stats_cancellable(&inst, &token),
-            Err(CancelReason::Cancelled)
-        );
+        let cancelled = Err(cr_core::CancelReason::Cancelled);
+        assert_eq!(config_search::brute_force(&rational, &token), cancelled);
+        assert_eq!(config_search::brute_force(&scaled, &token), cancelled);
         let live = CancelToken::new();
+        let (opt, stats) = brute_force_with_stats(&inst);
         assert_eq!(
-            brute_force_with_stats_cancellable(&inst, &live).unwrap(),
-            brute_force_with_stats(&inst)
+            config_search::brute_force(&scaled, &live).unwrap(),
+            (opt, stats.states, stats.expansions)
         );
     }
 

@@ -354,7 +354,7 @@ pub(crate) struct Round<V> {
 }
 
 impl<V: SearchUnit> Round<V> {
-    fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         Round {
             width,
             words: Vec::new(),
@@ -374,7 +374,7 @@ impl<V: SearchUnit> Round<V> {
         self.parents[index]
     }
 
-    fn push(&mut self, config: &[V], parent: u32) {
+    pub(crate) fn push(&mut self, config: &[V], parent: u32) {
         self.words.extend_from_slice(config);
         self.parents.push(parent);
     }
@@ -387,10 +387,13 @@ struct Dedup {
     slots: Vec<usize>,
 }
 
+/// The slot hash of a configuration: Fx, with the high half folded into
+/// the low bits the table masks.
 fn hash_words<V: Hash>(words: &[V]) -> usize {
     let mut hasher = FxHasher::default();
     words.hash(&mut hasher);
-    hasher.finish() as usize
+    let hash = hasher.finish();
+    (hash ^ (hash >> 32)) as usize
 }
 
 impl Dedup {
@@ -711,7 +714,7 @@ pub(crate) fn search<V: SearchUnit>(
 /// [`search`] with an explicit expansion chunk size (`None`: one chunk per
 /// rayon worker, and serial below [`MIN_PARALLEL_ROUND`]).  The output does
 /// not depend on it.
-fn search_chunked<V: SearchUnit>(
+pub(crate) fn search_chunked<V: SearchUnit>(
     view: &View<V>,
     chunk_size: Option<usize>,
     round_cap: Option<usize>,
@@ -754,6 +757,7 @@ fn search_chunked<V: SearchUnit>(
             // merge sees successors in the order of a serial scan.
             let mut dedup = Dedup::default();
             let mut merged = Round::new(view.width());
+            // lint: allow(cancel_coverage) — bounded: one merge pass per shard; the shards' expansion was gated
             for shard in shards {
                 let shard = shard?;
                 // lint: allow(cancel_coverage) — bounded: one pass over a shard the gated expansion produced
@@ -910,18 +914,42 @@ impl<V: SearchUnit> BruteForce<'_, V> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{brute_force as old_brute_force, opt_m, scaled_engine};
-    use cr_obs::{names, Registry};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
-    fn never() -> CancelToken {
-        CancelToken::never()
+    /// One `k = 1` successor with the decision it encodes: the words, the
+    /// finished processors (ascending) and the receiver with its amount.
+    pub(crate) type Choice<V> = (Vec<V>, Vec<u32>, Option<(u32, V)>);
+
+    /// Every successor of `config` on a one-layer view, with its decision
+    /// read off the parent/child pair as the schedule replay does.
+    pub(crate) fn choices<V: SearchUnit>(view: &View<V>, config: &[V]) -> Vec<Choice<V>> {
+        let m = view.processors();
+        let mut out = Vec::new();
+        Successors::default()
+            .for_each(
+                view,
+                config,
+                &mut CancelToken::never().gate(1),
+                &mut |next| {
+                    let finished = (0..m)
+                        .filter(|&i| next[i] > config[i])
+                        .map(|i| i as u32)
+                        .collect();
+                    let partial = (0..m)
+                        .find(|&i| next[i] == config[i] && next[m + i] > config[m + i])
+                        .map(|i| (i as u32, next[m + i].sub(config[m + i])));
+                    out.push((next.to_vec(), finished, partial));
+                },
+            )
+            .unwrap();
+        out
     }
 
     /// Percent rows snapped onto the grid `1/den`.
-    fn percent_instance(den: u64, rows: &[Vec<u64>]) -> Instance {
+    pub(crate) fn percent_instance(den: u64, rows: &[Vec<u64>]) -> Instance {
         let reqs = rows
             .iter()
             .map(|row| {
@@ -933,131 +961,54 @@ mod tests {
         Instance::unit_from_requirements(reqs)
     }
 
-    const COUNTERS: [&str; 5] = [
-        names::OPTM_ROUNDS,
-        names::OPTM_ROUND_CANDIDATES,
-        names::OPTM_ROUND_SURVIVORS,
-        names::OPTM_DOMINANCE_CHECKS,
-        names::SUBSET_DFS_NODES,
-    ];
-
-    /// Runs `f` and returns what it added to the search counters.
-    fn counted<R>(f: impl FnOnce() -> R) -> ([u64; 5], R) {
-        let read = || COUNTERS.map(|name| Registry::global().counter(name).value());
-        let before = read();
-        let out = f();
-        let after = read();
-        (std::array::from_fn(|i| after[i] - before[i]), out)
+    fn never() -> CancelToken {
+        CancelToken::never()
     }
 
-    /// The words of every node of every round, plus its parent index.
-    type Listing<V> = Vec<Vec<(Vec<V>, usize)>>;
-
-    fn listing<V: SearchUnit>(rounds: &[Round<V>]) -> Listing<V> {
-        rounds
-            .iter()
-            .map(|round| {
-                (0..round.len())
-                    .map(|i| (round.config(i).to_vec(), round.parent(i) as usize))
+    /// A round's configurations as exact words: counts as they are,
+    /// `u64` spent units divided by the capacity.
+    fn exact_words(round: &Round<u64>, m: usize, cap: u64) -> BTreeSet<Vec<Ratio>> {
+        (0..round.len())
+            .map(|i| {
+                let config = round.config(i);
+                let counts = config[..m].iter().map(|&c| Ratio::from_count(c as usize));
+                counts
+                    .chain(config[m..].iter().map(|&s| s.to_share(cap)))
                     .collect()
             })
             .collect()
     }
 
-    /// Set in the child process that runs the parity cases alone, so the
-    /// process-wide counters see no other test's work.
-    const PARITY_CHILD: &str = "CR_ALGOS_ENGINE_PARITY_CHILD";
-
-    #[test]
-    fn k1_parity_runs_alone_in_a_child_process() {
-        if std::env::var_os(PARITY_CHILD).is_some() {
-            return;
-        }
-        let output = std::process::Command::new(std::env::current_exe().unwrap())
-            .args([
-                "--exact",
-                "config_search::tests::generic_engine_reproduces_both_k1_engines",
-                "--test-threads=1",
-            ])
-            .env(PARITY_CHILD, "1")
-            .output()
-            .unwrap();
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        assert!(output.status.success(), "{stdout}");
-        assert!(stdout.contains("1 passed"), "{stdout}");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// At `k = 1` the generic search reproduces the scalar `u64` engine
-        /// and the rational search: the same survivors per round in the same
-        /// order with the same parents, the same replayed schedule and the
-        /// same counter deltas; the brute-force DFS agrees too.
+        /// At `k = 1` the `u64` and the `Ratio` view keep the same survivor
+        /// set every round (listed in their own orders), reach the same
+        /// makespan, and both replays are feasible schedules of it; the
+        /// brute-force DFS agrees on both views.
         #[test]
-        fn generic_engine_reproduces_both_k1_engines(
+        fn both_units_keep_the_same_survivors(
             den in 1u64..=24,
             rows in prop::collection::vec(prop::collection::vec(0u64..=100, 1..=4), 1..=4),
         ) {
-            if std::env::var_os(PARITY_CHILD).is_none() {
-                return Ok(());
-            }
             let inst = percent_instance(den, &rows);
             let scaled = ScaledInstance::try_new(&inst).expect("small denominators scale");
-
-            let (old_work, old) = counted(|| scaled_engine::run_search(&scaled).unwrap());
-            let view = View::from_scaled(&scaled);
-            let (new_work, new) = counted(|| search(&view, None, &never()).unwrap().unwrap());
-            let old_listing: Listing<u64> = old
-                .iter()
-                .map(|round| {
-                    round
-                        .iter()
-                        .map(|n| (n.config.to_vec(), n.parent as usize))
-                        .collect()
-                })
-                .collect();
-            prop_assert_eq!(listing(&new), old_listing);
-            prop_assert_eq!(new_work, old_work);
-            prop_assert_eq!(
-                schedule(&inst, &view, &new),
-                scaled_engine::search_schedule(&inst, &scaled, &old)
-            );
-
-            let (old_work, old) = counted(|| opt_m::run_search(&inst));
-            let rview = View::rational(&inst);
-            let (new_work, new) = counted(|| search(&rview, None, &never()).unwrap().unwrap());
-            let old_listing: Listing<Ratio> = old
-                .iter()
-                .map(|round| {
-                    round
-                        .iter()
-                        .map(|n| {
-                            let mut words: Vec<Ratio> =
-                                n.config.completed.iter().map(|&c| Ratio::from_count(c)).collect();
-                            words.extend_from_slice(&n.config.spent);
-                            (words, n.parent.min(u32::MAX as usize))
-                        })
-                        .collect()
-                })
-                .collect();
-            prop_assert_eq!(listing(&new), old_listing);
-            prop_assert_eq!(new_work, old_work);
-            prop_assert_eq!(
-                schedule(&inst, &rview, &new),
-                opt_m::schedule_from_rounds(&inst, &old)
-            );
-
+            let (units, exact) = (View::from_scaled(&scaled), View::rational(&inst));
+            let a = search(&units, None, &never()).unwrap().unwrap();
+            let b = search(&exact, None, &never()).unwrap().unwrap();
+            prop_assert_eq!(a.len(), b.len());
+            let m = inst.processors();
+            for (ra, rb) in a.iter().zip(&b) {
+                let rb_words: BTreeSet<Vec<Ratio>> = (0..rb.len()).map(|i| rb.config(i).to_vec()).collect();
+                prop_assert_eq!(exact_words(ra, m, scaled.capacity()), rb_words);
+            }
+            let makespan = a.len() - 1;
+            prop_assert_eq!(schedule(&inst, &units, &a).makespan(&inst).unwrap(), makespan);
+            prop_assert_eq!(schedule(&inst, &exact, &b).makespan(&inst).unwrap(), makespan);
             if inst.total_jobs() <= 10 {
-                let (old_work, old) = counted(|| scaled_engine::brute_force(&scaled));
-                let (new_work, new) = counted(|| brute_force(&view, &never()).unwrap());
-                prop_assert_eq!(new, old);
-                prop_assert_eq!(new_work, old_work);
-                let (old_work, (best, stats)) =
-                    counted(|| old_brute_force::brute_force_with_stats_rational(&inst));
-                let (new_work, new) = counted(|| brute_force(&rview, &never()).unwrap());
-                prop_assert_eq!(new, (best, stats.states, stats.expansions));
-                prop_assert_eq!(new_work, old_work);
+                let (best, states, expansions) = brute_force(&units, &never()).unwrap();
+                prop_assert_eq!(best, makespan);
+                prop_assert_eq!(brute_force(&exact, &never()).unwrap(), (best, states, expansions));
             }
         }
     }
@@ -1087,69 +1038,52 @@ mod tests {
             }
             next
         };
-        let all: Vec<usize> = (0..a).collect();
         let fits = |set: &[usize]| {
             (0..k).all(|r| {
                 set.iter().map(|&e| u128::from(rem(e, r))).sum::<u128>() <= u128::from(view.caps[r])
             })
         };
+        let all: Vec<usize> = (0..a).collect();
         if fits(&all) {
             return vec![complete(&all)];
         }
         let mut out = Vec::new();
         for mask in 1u32..(1 << a) {
             let set: Vec<usize> = (0..a).filter(|&e| mask & (1 << e) != 0).collect();
-            if (0..a).any(|e| zero(e) && mask & (1 << e) == 0)
-                || set.iter().all(|&e| zero(e))
-                || !fits(&set)
-            {
+            let withholds_a_zero = (0..a).any(|e| zero(e) && mask & (1 << e) == 0);
+            if withholds_a_zero || set.iter().all(|&e| zero(e)) || !fits(&set) {
                 continue;
             }
             let left: Vec<u64> = (0..k)
                 .map(|r| view.caps[r] - set.iter().map(|&e| rem(e, r)).sum::<u64>())
                 .collect();
+            // Receiver picks, one option per layer, as an odometer.
             let options: Vec<Vec<Option<usize>>> = (0..k)
                 .map(|r| {
+                    let outside = (0..a).filter(|&e| mask & (1 << e) == 0 && rem(e, r) > left[r]);
                     let mut o = vec![None];
                     if left[r] > 0 {
-                        o.extend(
-                            (0..a)
-                                .filter(|&e| mask & (1 << e) == 0 && rem(e, r) > left[r])
-                                .map(Some),
-                        );
+                        o.extend(outside.map(Some));
                     }
                     o
                 })
                 .collect();
-            let mut picks = vec![vec![]];
-            for layer in &options {
-                picks = picks
-                    .into_iter()
-                    .flat_map(|p: Vec<Option<usize>>| {
-                        layer.iter().map(move |&o| [p.clone(), vec![o]].concat())
-                    })
-                    .collect();
-            }
-            for pick in picks {
+            let mut pick = vec![0usize; k];
+            loop {
                 let mut next = complete(&set);
-                for (r, o) in pick.iter().enumerate() {
-                    if let Some(e) = *o {
+                for r in 0..k {
+                    if let Some(e) = options[r][pick[r]] {
                         next[m + active[e] * k + r] += left[r];
                     }
                 }
                 out.push(next);
+                let Some(r) = (0..k).find(|&r| pick[r] + 1 < options[r].len()) else {
+                    break;
+                };
+                pick[r] += 1;
+                pick[..r].fill(0);
             }
         }
-        out
-    }
-
-    fn pruned_successors(view: &View<u64>, config: &[u64]) -> Vec<Vec<u64>> {
-        let mut out = Vec::new();
-        Successors::default()
-            .for_each(view, config, &mut never().gate(1), &mut |next| {
-                out.push(next.to_vec())
-            })
-            .unwrap();
         out
     }
 
@@ -1174,7 +1108,10 @@ mod tests {
                     config[m + i * k + r] = spent[i * 3 + r] % (reqs[i * 3 + r] + 1);
                 }
             }
-            let pruned = pruned_successors(&view, &config);
+            let mut pruned = Vec::new();
+            Successors::default()
+                .for_each(&view, &config, &mut never().gate(1), &mut |next| pruned.push(next.to_vec()))
+                .unwrap();
             let reference = reference_successors(&view, &config);
             for next in &pruned {
                 prop_assert!(reference.contains(next), "{next:?} is outside the class");

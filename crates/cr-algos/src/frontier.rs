@@ -5,9 +5,9 @@
 //! dominates `b` when every processor has completed more jobs in `a`, or
 //! equally many with at least as much resource spent on the frontier job.
 //! The survivors are the unique maximal antichain of that order.  The
-//! scalar engine (`scaled_engine`), the multi-resource engine
-//! (`multi_engine`) and the rational reference (`opt_m`) all call
-//! [`DominanceFilter::filter`]; each supplies its own `dominates`.
+//! configuration search (`config_search`) calls [`DominanceFilter::filter`]
+//! for every resource count and both units, in the processing order its
+//! unit prescribes.
 //!
 //! # How the filter works
 //!
@@ -30,7 +30,6 @@
 //! keeps one filter across its rounds allocates them once.
 
 use cr_core::{CancelGate, CancelReason};
-use std::cmp::Reverse;
 
 /// How many candidates pass between token checks: one candidate costs a
 /// scan of the bucket keys plus its `dominates` calls (microseconds on the
@@ -145,96 +144,19 @@ impl<C: Copy + Ord> DominanceFilter<C> {
     }
 }
 
-/// The processing order of the `opt_m` and `multi_engine` rounds: by
-/// Σ completed descending, then by (completed, spent) lexicographically
-/// descending, ties to the lower index.  A dominator has a componentwise
-/// greater-or-equal completed vector, and on equal vectors a greater-or-
-/// equal spent vector, so it comes first.  Spent values are only
-/// compared, never summed, so no sum can overflow.
-fn progress_order<'c, C, S>(
-    len: usize,
-    completed: impl Fn(usize) -> &'c [C],
-    spent: impl Fn(usize) -> &'c [S],
-) -> Vec<usize>
-where
-    C: Copy + Ord + TryInto<u64> + 'c,
-    S: Ord + 'c,
-{
-    let mut order: Vec<(u64, usize)> = (0..len)
-        .map(|i| {
-            let total = completed(i).iter().fold(0u64, |sum, &c| {
-                sum.saturating_add(c.try_into().unwrap_or(u64::MAX))
-            });
-            (total, i)
-        })
-        .collect();
-    order.sort_unstable_by(|&(ta, a), &(tb, b)| {
-        Reverse(ta)
-            .cmp(&Reverse(tb))
-            .then_with(|| completed(b).cmp(completed(a)))
-            .then_with(|| spent(b).cmp(spent(a)))
-            .then(a.cmp(&b))
-    });
-    order.into_iter().map(|(_, i)| i).collect()
-}
-
-/// [`DominanceFilter::filter`] over [`progress_order`], for the `opt_m`
-/// and `multi_engine` rounds, which keep their survivors in insertion
-/// order: returns a keep flag per candidate plus the `dominates` call count.
-pub(crate) fn keep_mask<'c, C, S>(
-    filter: &mut DominanceFilter<C>,
-    len: usize,
-    completed: impl Fn(usize) -> &'c [C],
-    spent: impl Fn(usize) -> &'c [S],
-    dominates: impl FnMut(usize, usize) -> bool,
-    gate: &mut CancelGate,
-) -> Result<(Vec<bool>, u64), CancelReason>
-where
-    C: Copy + Ord + TryInto<u64> + 'c,
-    S: Ord + 'c,
-{
-    let order = progress_order(len, &completed, spent);
-    let filtered = filter.filter(order, completed, dominates, gate)?;
-    let mut keep = vec![false; len];
-    // lint: allow(cancel_coverage) — bounded: one flag per survivor of the gated filter above
-    for &i in filtered.kept {
-        keep[i] = true;
-    }
-    Ok((keep, filtered.checks))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config_search::{dominates, Round, SearchUnit};
     use cr_core::{CancelToken, Ratio};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    /// A test configuration: completed counts plus `m × k` spent values,
-    /// processor-major (the `multi_engine` layout; `k = 1` is the scalar
-    /// layout).
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-    struct Cfg<V> {
-        completed: Vec<u32>,
-        spent: Vec<V>,
-    }
-
-    /// The Lemma 4 order over `k` layers.
-    fn dominates<V: Ord>(a: &Cfg<V>, b: &Cfg<V>, k: usize) -> bool {
-        a.completed
-            .iter()
-            .zip(&b.completed)
-            .enumerate()
-            .all(|(i, (ca, cb))| {
-                ca > cb || (ca == cb && (i * k..(i + 1) * k).all(|s| a.spent[s] >= b.spent[s]))
-            })
-    }
-
     /// The naive quadratic reference: a candidate survives when no other
     /// candidate dominates it.
-    fn reference<V: Ord>(cands: &[Cfg<V>], k: usize) -> Vec<bool> {
+    fn reference<V: Ord>(cands: &[Vec<V>], m: usize, k: usize) -> Vec<bool> {
         (0..cands.len())
-            .map(|b| !(0..cands.len()).any(|a| a != b && dominates(&cands[a], &cands[b], k)))
+            .map(|b| !(0..cands.len()).any(|a| a != b && dominates(m, k, &cands[a], &cands[b])))
             .collect()
     }
 
@@ -242,63 +164,54 @@ mod tests {
         CancelToken::never().gate(FILTER_CHECK_STRIDE)
     }
 
-    /// Runs the filter in `order` on a filter whose buffers are dirty from
-    /// an earlier round, and checks the survivors against the reference:
-    /// same set, emitted in processing order.
-    fn check_order<V: Ord>(
-        filter: &mut DominanceFilter<u32>,
-        cands: &[Cfg<V>],
+    /// Runs the filter in `order` on a filter whose buffers may be dirty
+    /// from an earlier round, and checks the survivors against the
+    /// reference: same set, emitted in processing order, and never more
+    /// checks than the quadratic filter's pairs.
+    fn check_order<V: SearchUnit>(
+        filter: &mut DominanceFilter<V>,
+        cands: &[Vec<V>],
+        m: usize,
         k: usize,
         order: &[usize],
     ) -> Result<(), TestCaseError> {
         let want: Vec<usize> = {
-            let survives = reference(cands, k);
+            let survives = reference(cands, m, k);
             order.iter().copied().filter(|&i| survives[i]).collect()
         };
         let got = filter
             .filter(
                 order.iter().copied(),
-                |i| &cands[i].completed,
-                |a, b| dominates(&cands[a], &cands[b], k),
+                |i| &cands[i][..m],
+                |a, b| dominates(m, k, &cands[a], &cands[b]),
                 &mut never_gate(),
             )
             .expect("a never gate cannot fire");
         prop_assert_eq!(got.kept, &want[..]);
+        let n = cands.len() as u64;
+        prop_assert!(got.checks <= n * n.saturating_sub(1));
         Ok(())
     }
 
-    fn check_all<V: Ord + Clone>(
-        raw: Vec<Cfg<V>>,
-        m: usize,
-        k: usize,
-    ) -> Result<(), TestCaseError> {
-        let cands: Vec<Cfg<V>> = raw
+    /// Deduplicates `raw` and filters it twice, the second time on dirty
+    /// buffers, in the unit's own processing order.
+    fn check_all<V: SearchUnit>(raw: Vec<Vec<V>>, m: usize, k: usize) -> Result<(), TestCaseError> {
+        let cands: Vec<Vec<V>> = raw
             .into_iter()
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
+        let order_of = |cands: &[Vec<V>]| {
+            let mut round = Round::new(m * (1 + k));
+            for c in cands {
+                round.push(c, 0);
+            }
+            V::processing_order(&round, m)
+        };
         let mut filter = DominanceFilter::new(m);
-        // Dirty the buffers with a different round first.
-        let half: Vec<Cfg<V>> = cands.iter().step_by(2).cloned().collect();
-        let order = progress_order(half.len(), |i| &half[i].completed, |i| &half[i].spent);
-        check_order(&mut filter, &half, k, &order)?;
-
-        let order = progress_order(cands.len(), |i| &cands[i].completed, |i| &cands[i].spent);
-        check_order(&mut filter, &cands, k, &order)?;
-        let (keep, checks) = keep_mask(
-            &mut filter,
-            cands.len(),
-            |i| &cands[i].completed,
-            |i| &cands[i].spent,
-            |a, b| dominates(&cands[a], &cands[b], k),
-            &mut never_gate(),
-        )
-        .expect("a never gate cannot fire");
-        prop_assert_eq!(keep, reference(&cands, k));
-        // Never more than the quadratic filter's pairs.
-        let n = cands.len() as u64;
-        prop_assert!(checks <= n * n.saturating_sub(1));
-        Ok(())
+        let half: Vec<Vec<V>> = cands.iter().step_by(2).cloned().collect();
+        check_order(&mut filter, &half, m, k, &order_of(&half))?;
+        check_order(&mut filter, &cands, m, k, &order_of(&cands))
     }
 
     /// Raw configurations for up to 4 processors and 3 layers, cut to
@@ -315,16 +228,20 @@ mod tests {
         )
     }
 
-    fn cut<V>(
+    /// Flat configurations: `m` completed counts, then `m × k` spent
+    /// values, processor-major.
+    fn cut<V: SearchUnit>(
         raw: &[(Vec<u32>, Vec<u64>)],
         m: usize,
         k: usize,
         to: impl Fn(u64) -> V,
-    ) -> Vec<Cfg<V>> {
+    ) -> Vec<Vec<V>> {
         raw.iter()
-            .map(|(completed, spent)| Cfg {
-                completed: completed[..m].to_vec(),
-                spent: spent[..m * k].iter().map(|&s| to(s)).collect(),
+            .map(|(completed, spent)| {
+                let counts = completed[..m].iter().map(|&c| V::from_count(c as usize));
+                counts
+                    .chain(spent[..m * k].iter().map(|&s| to(s)))
+                    .collect()
             })
             .collect()
     }
@@ -332,36 +249,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Over `u64`: the progress order and the scalar engine's
-        /// (Σ completed, Σ spent) descending order both keep exactly the
-        /// reference's survivors, in processing order.
+        /// Over `u64`, in the (Σ completed, Σ spent) descending order: the
+        /// filter keeps exactly the reference's survivors.
         #[test]
         fn filter_matches_the_quadratic_reference_over_u64(
             m in 1usize..=4,
             k in 1usize..=3,
             raw in raw_configs(),
         ) {
-            let cands = cut(&raw, m, k, |s| s);
-            check_all(cands.clone(), m, k)?;
-            if k == 1 {
-                let cands: Vec<Cfg<u64>> =
-                    cands.into_iter().collect::<BTreeSet<_>>().into_iter().collect();
-                let mut order: Vec<(u64, u64, usize)> = cands
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let sc: u64 = c.completed.iter().map(|&x| u64::from(x)).sum();
-                        (sc, c.spent.iter().sum(), i)
-                    })
-                    .collect();
-                order.sort_unstable_by(|a, b| b.cmp(a));
-                let order: Vec<usize> = order.into_iter().map(|(_, _, i)| i).collect();
-                check_order(&mut DominanceFilter::new(m), &cands, 1, &order)?;
-            }
+            check_all(cut(&raw, m, k, |s| s), m, k)?;
         }
 
-        /// Over `Ratio`: the same configurations with spent values in
-        /// thirds.
+        /// Over `Ratio`, in the progress order: the same configurations with
+        /// spent values in thirds.
         #[test]
         fn filter_matches_the_quadratic_reference_over_ratio(
             m in 1usize..=4,
@@ -384,7 +284,7 @@ mod tests {
             .filter(
                 [0, 1],
                 |i| &configs[i][..m],
-                |a, b| crate::scaled_engine::dominates(m, &configs[a], &configs[b]),
+                |a, b| dominates(m, 1, &configs[a], &configs[b]),
                 &mut never_gate(),
             )
             .unwrap();
@@ -403,7 +303,7 @@ mod tests {
             .filter(
                 [0, 1],
                 |i| &configs[i][..m],
-                |a, b| crate::scaled_engine::dominates(m, &configs[a], &configs[b]),
+                |a, b| dominates(m, 1, &configs[a], &configs[b]),
                 &mut never_gate(),
             )
             .unwrap();
@@ -421,7 +321,7 @@ mod tests {
             .filter(
                 [0],
                 |i| &configs[i][..1],
-                |a, b| crate::scaled_engine::dominates(1, &configs[a], &configs[b]),
+                |a, b| dominates(1, 1, &configs[a], &configs[b]),
                 &mut token.gate(1),
             )
             .unwrap_err();

@@ -12,174 +12,16 @@
 //! appears.  The number of surviving configurations is polynomial in `n` for
 //! fixed `m`, which yields Theorem 6's polynomial running time.
 //!
-//! Two implementations share this file's entry points: the hot path runs the
-//! search on a [`ScaledInstance`] through the internal `scaled_engine` module (integer
-//! units, packed configuration keys, FxHash memoization, rayon-parallel
-//! round expansion), and the `Ratio`-based search is retained as
-//! [`opt_m_makespan_rational`] — the fallback when scaling would overflow
-//! (or a search round outgrows the engine's `u32` parent-index headroom,
-//! surfaced as a structured [`crate::SearchError`]) and the reference the
-//! property tests cross-check against.
-//!
-//! Both paths prune each round with the shared indexed domination filter
-//! (the internal `frontier` module): candidates are compared only with
-//! kept survivors whose completed-count vector is componentwise at least
-//! their own, since no other configuration can dominate them.  The
-//! rational search feeds it Σ completed descending, then (completed,
-//! spent) lexicographically descending, and keeps its survivors in
-//! insertion order; the scaled engine keeps its (Σ completed, Σ spent)
-//! order.
-//!
-//! Both paths enumerate successors through the shared pruned DFS enumerator
-//! (the internal `subset_enum` module), so any number of simultaneously active
-//! processors is supported.  The pre-ISSUE-4 rational path scanned
-//! `1u32 << k` subset masks, which shift-overflowed for `k ≥ 32` active
-//! processors — a debug panic, and a silent wrap to a wrong (possibly
-//! empty) successor enumeration in release builds.
+//! The search itself lives in the internal `config_search` module, written
+//! once over both arithmetics.  This module only picks the view: `u64`
+//! units on the instance's grid whenever its denominators admit a `u64`
+//! LCM, and exact `Ratio`s when they do not, when a `u64` round outgrows
+//! the `u32` parent indices (a structured [`SearchError`], which
+//! [`try_opt_m_makespan`] surfaces), and in [`opt_m_makespan_rational`].
 
-use crate::frontier::{self, DominanceFilter, FILTER_CHECK_STRIDE};
-use crate::scaled_engine;
-use crate::subset_enum::{for_each_choice_cancellable, EnumScratch, CHOICE_CHECK_STRIDE};
+use crate::config_search::{self, SearchError, View};
 use crate::traits::Scheduler;
-use cr_core::{
-    CancelGate, CancelReason, CancelToken, Instance, MultiStepper, Ratio, ScaledInstance, Schedule,
-};
-use std::collections::HashMap;
-
-/// A configuration: how many jobs each processor has completed and how much
-/// resource has been spent on its current frontier job.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct Config {
-    /// Completed job count per processor (the paper's `jᵢ(t)`).
-    pub completed: Vec<usize>,
-    /// Resource already spent on the active (frontier) job per processor
-    /// (the paper's `vᵢ(t)`); zero when the frontier job has not started.
-    pub spent: Vec<Ratio>,
-}
-
-impl Config {
-    /// The initial configuration: nothing completed, nothing spent.
-    pub(crate) fn initial(m: usize) -> Self {
-        Config {
-            completed: vec![0; m],
-            spent: vec![Ratio::ZERO; m],
-        }
-    }
-
-    /// Whether every processor has completed all of its jobs.
-    pub(crate) fn is_final(&self, instance: &Instance) -> bool {
-        self.completed
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| c >= instance.jobs_on(i))
-    }
-
-    /// Remaining requirement of processor `i`'s frontier job, or `None` if
-    /// the processor has no jobs left.
-    pub(crate) fn remaining(&self, instance: &Instance, i: usize) -> Option<Ratio> {
-        if self.completed[i] < instance.jobs_on(i) {
-            let req = instance.processor_jobs(i)[self.completed[i]].requirement;
-            Some(req - self.spent[i])
-        } else {
-            None
-        }
-    }
-
-    /// `true` if `self` dominates `other`: it is at least as far on every
-    /// processor (more jobs completed, or equally many and at least as much
-    /// spent on the frontier job).
-    pub(crate) fn dominates(&self, other: &Config) -> bool {
-        self.completed
-            .iter()
-            .zip(&other.completed)
-            .zip(self.spent.iter().zip(&other.spent))
-            .all(|((&ca, &cb), (&sa, &sb))| ca > cb || (ca == cb && sa >= sb))
-    }
-}
-
-/// The decision taken in one time step: which frontier jobs complete and
-/// which single processor (if any) receives the leftover resource.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct StepChoice {
-    /// Processors whose frontier job completes in this step.
-    pub finished: Vec<usize>,
-    /// Processor that receives the remaining resource without completing,
-    /// together with the amount it receives.
-    pub partial: Option<(usize, Ratio)>,
-}
-
-/// Generates all successor configurations of `config` reachable in one
-/// normalized (non-wasting, progressive) time step, together with the step
-/// decision that produces them.
-///
-/// Restricting the search to such steps is justified by Lemma 1: some optimal
-/// schedule is non-wasting, progressive and nested, and for unit-size jobs
-/// every such step completes at least one job.
-///
-/// Runs on the shared pruned DFS enumerator (`crate::subset_enum`): only
-/// fitting subsets of the requirement-sorted active processors are visited,
-/// zero-requirement frontiers always complete (the variants skipping them
-/// are strictly dominated), and the active-processor count is unbounded.
-pub(crate) fn successors_cancellable(
-    instance: &Instance,
-    config: &Config,
-    gate: &mut CancelGate,
-) -> Result<Vec<(Config, StepChoice)>, CancelReason> {
-    let m = instance.processors();
-    let active: Vec<usize> = (0..m)
-        .filter(|&i| config.completed[i] < instance.jobs_on(i))
-        .collect();
-    if active.is_empty() {
-        return Ok(Vec::new());
-    }
-    let remaining: Vec<Ratio> = active
-        .iter()
-        // lint: allow(panic_hygiene) — `active` holds exactly the processors whose remaining() is Some
-        .map(|&i| config.remaining(instance, i).expect("active processor"))
-        .collect();
-
-    let mut scratch = EnumScratch::default();
-    let mut out = Vec::new();
-    for_each_choice_cancellable(
-        &remaining,
-        Ratio::ONE,
-        &mut scratch,
-        gate,
-        &mut |finished, partial| {
-            let mut next = config.clone();
-            let mut finished_procs = Vec::with_capacity(finished.len());
-            // lint: allow(cancel_coverage) — bounded: `finished` is a subset of the <= m active processors
-            for &entry in finished {
-                let i = active[entry as usize];
-                next.completed[i] += 1;
-                next.spent[i] = Ratio::ZERO;
-                finished_procs.push(i);
-            }
-            let partial = partial.map(|(entry, amount)| {
-                let p = active[entry as usize];
-                next.spent[p] += amount;
-                (p, amount)
-            });
-            out.push((
-                next,
-                StepChoice {
-                    finished: finished_procs,
-                    partial,
-                },
-            ));
-        },
-    )?;
-    Ok(out)
-}
-
-/// One node of the round-by-round search, with a back pointer for schedule
-/// reconstruction.
-#[derive(Debug, Clone)]
-pub(crate) struct Node {
-    pub(crate) config: Config,
-    pub(crate) parent: usize,
-    choice: Option<StepChoice>,
-}
+use cr_core::{CancelToken, Instance, ScaledInstance, Schedule};
 
 fn assert_unit(instance: &Instance) {
     assert!(
@@ -188,165 +30,12 @@ fn assert_unit(instance: &Instance) {
     );
 }
 
-/// Runs the configuration search and returns, per round, the surviving
-/// (non-dominated) nodes.  The search stops after the first round containing
-/// a final configuration.
-pub(crate) fn run_search(instance: &Instance) -> Vec<Vec<Node>> {
-    // lint: allow(panic_hygiene) — with no round cap the search always reaches a final configuration, so the limited form never returns None
-    run_search_limited(instance, None).expect("uncapped search reaches a final configuration")
-}
-
-/// [`run_search`] with a hard cap on the number of expanded rounds (the
-/// solver layer's `max_rounds` budget on the rational path).  `None` when
-/// the cap cut the search off before any final configuration appeared —
-/// the search genuinely stops early, mirroring the scaled engine's
-/// `run_search_capped`.
-fn run_search_limited(instance: &Instance, round_cap: Option<usize>) -> Option<Vec<Vec<Node>>> {
-    run_search_limited_cancellable(instance, round_cap, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("a never token cannot fire")
-}
-
-/// [`run_search_limited`] with cooperative cancellation: the token is
-/// checked at every round boundary and (through the shared gate) per DFS
-/// extension inside the successor enumeration, so even a single huge round
-/// observes the deadline within [`cr_core::cancel::CHECK_INTERVAL_MS`].
-fn run_search_limited_cancellable(
-    instance: &Instance,
-    round_cap: Option<usize>,
-    token: &CancelToken,
-) -> Result<Option<Vec<Vec<Node>>>, CancelReason> {
-    let _search_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_SEARCH);
-    let m = instance.processors();
-    let initial = Config::initial(m);
-    let mut rounds: Vec<Vec<Node>> = vec![vec![Node {
-        config: initial.clone(),
-        parent: usize::MAX,
-        choice: None,
-    }]];
-
-    if initial.is_final(instance) {
-        return Ok(Some(rounds));
-    }
-
-    let mut gate = token.gate(CHOICE_CHECK_STRIDE);
-    let mut filter_gate = token.gate(FILTER_CHECK_STRIDE);
-    let mut filter = DominanceFilter::new(m);
-    let max_rounds = instance.total_jobs() + 1;
-    let round_limit = round_cap.map_or(max_rounds, |cap| cap.min(max_rounds));
-    let mut found_final = false;
-    for _round in 0..round_limit {
-        token.check()?;
-        let _round_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_ROUND);
-        crate::obs::optm_rounds().inc();
-        // lint: allow(panic_hygiene) — `rounds` is seeded with the initial round before this loop
-        let prev = rounds.last().expect("at least the initial round");
-        let mut seen: HashMap<Config, usize> = HashMap::new();
-        let mut next: Vec<Node> = Vec::new();
-        for (parent_idx, node) in prev.iter().enumerate() {
-            for (config, choice) in successors_cancellable(instance, &node.config, &mut gate)? {
-                if let Some(&existing) = seen.get(&config) {
-                    // Exact duplicate: keep the first representative.
-                    let _ = existing;
-                    continue;
-                }
-                seen.insert(config.clone(), next.len());
-                next.push(Node {
-                    config,
-                    parent: parent_idx,
-                    choice: Some(choice),
-                });
-            }
-        }
-
-        // Remove dominated configurations (Lemma 4 guarantees that among
-        // step-equal extended configurations one dominates, so pruning by
-        // plain domination keeps an optimal continuation around).
-        let filtered: Vec<Node> = {
-            let _filter_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_FILTER);
-            let (keep, checks) = frontier::keep_mask(
-                &mut filter,
-                next.len(),
-                |i| &next[i].config.completed,
-                |i| &next[i].config.spent,
-                |a, b| next[a].config.dominates(&next[b].config),
-                &mut filter_gate,
-            )?;
-            crate::obs::optm_dominance_checks().add(checks);
-            crate::obs::optm_round_candidates().add(crate::obs::delta(next.len()));
-            next.into_iter()
-                .zip(keep)
-                .filter_map(|(node, kept)| kept.then_some(node))
-                .collect()
-        };
-        crate::obs::optm_round_survivors().add(crate::obs::delta(filtered.len()));
-
-        let done = filtered.iter().any(|n| n.config.is_final(instance));
-        rounds.push(filtered);
-        if done {
-            found_final = true;
-            break;
-        }
-    }
-    if found_final {
-        Ok(Some(rounds))
-    } else {
-        debug_assert!(round_cap.is_some(), "uncapped search must terminate");
-        Ok(None)
-    }
-}
-
-/// One rational configuration search answering both questions at once:
-/// the makespan plus (when requested) the reconstructed schedule, so the
-/// solver layer never pays for the exponential search twice.  `None` when
-/// `round_cap` cut the search off.
-///
-/// # Panics
-///
-/// Panics if the instance contains non-unit job sizes.
-#[cfg(test)]
-pub(crate) fn solve_rational(
-    instance: &Instance,
-    round_cap: Option<usize>,
-    want_schedule: bool,
-) -> Option<(usize, Option<Schedule>)> {
-    solve_rational_cancellable(instance, round_cap, want_schedule, &CancelToken::never())
-        .expect("a never token cannot fire")
-}
-
-/// [`solve_rational`] with cooperative cancellation — `Err` when the token
-/// fired mid-search, `Ok(None)` when `round_cap` cut the search off.
-///
-/// # Panics
-///
-/// Panics if the instance contains non-unit job sizes.
-pub(crate) fn solve_rational_cancellable(
-    instance: &Instance,
-    round_cap: Option<usize>,
-    want_schedule: bool,
-    token: &CancelToken,
-) -> Result<Option<(usize, Option<Schedule>)>, CancelReason> {
-    assert_unit(instance);
-    let Some(rounds) = run_search_limited_cancellable(instance, round_cap, token)? else {
-        return Ok(None);
-    };
-    let makespan = if rounds[0][0].config.is_final(instance) {
-        0
-    } else {
-        rounds.len() - 1
-    };
-    let schedule = want_schedule.then(|| schedule_from_rounds(instance, &rounds));
-    Ok(Some((makespan, schedule)))
-}
-
 /// The optimal makespan computed by the configuration search.
 ///
-/// Runs on the scaled-integer engine (rayon-parallel round expansion)
-/// whenever the instance's requirement denominators admit a `u64` LCM
-/// (always, for the families in this repository), and falls back to the
-/// exact rational search otherwise — either when scaling overflows or when
-/// the engine reports a structured [`crate::SearchError`] because a search
-/// round outgrew its `u32` parent-index headroom.
+/// Runs on `u64` units whenever the instance's requirement denominators
+/// admit a `u64` LCM (always, for the families in this repository), and on
+/// exact rationals otherwise or when a `u64` round outgrows its `u32`
+/// parent indices.
 ///
 /// # Panics
 ///
@@ -356,56 +45,53 @@ pub fn opt_m_makespan(instance: &Instance) -> usize {
     try_opt_m_makespan(instance).unwrap_or_else(|_| opt_m_makespan_rational(instance))
 }
 
-/// Like [`opt_m_makespan`], but surfaces the scaled engine's structured
-/// failure instead of silently recovering through the rational search.
+/// Like [`opt_m_makespan`], but surfaces the `u64` search's structured
+/// failure instead of recovering through the rational search.
 ///
 /// Instances whose denominators do not scale at all still run (and succeed)
-/// on the rational path; the only `Err` is a
-/// [`SearchError`](crate::SearchError) from the scaled configuration search
-/// itself — a round outgrowing the `u32` parent-index headroom — which
-/// callers can either report or recover from via
+/// on the rational path; the only `Err` is a round outgrowing the `u32`
+/// parent indices, which callers can report or recover from via
 /// [`opt_m_makespan_rational`] (exactly what [`opt_m_makespan`] does).
 ///
 /// # Errors
 ///
-/// [`crate::SearchError::RoundTooLarge`] when a scaled search round holds
-/// more nodes than `u32` parent indices can address.
+/// [`SearchError::RoundTooLarge`] when a `u64` search round holds more
+/// nodes than `u32` parent indices can address.
 ///
 /// # Panics
 ///
 /// Panics if the instance contains non-unit job sizes.
-pub fn try_opt_m_makespan(instance: &Instance) -> Result<usize, crate::SearchError> {
+pub fn try_opt_m_makespan(instance: &Instance) -> Result<usize, SearchError> {
     assert_unit(instance);
     match ScaledInstance::try_new(instance) {
-        Some(scaled) => {
-            let rounds = scaled_engine::run_search(&scaled)?;
-            Ok(scaled_engine::search_makespan(&scaled, &rounds))
-        }
+        Some(scaled) => Ok(rounds(&View::from_scaled(&scaled))?.len() - 1),
         None => Ok(opt_m_makespan_rational(instance)),
     }
 }
 
-/// The original `Ratio`-arithmetic configuration search (reference path).
-///
-/// Kept verbatim so property tests can cross-check the scaled engine and as
-/// the fallback for instances whose denominator LCM overflows `u64`.
+/// The configuration search in exact `Ratio` arithmetic (the reference the
+/// property tests cross-check the `u64` search against).
 ///
 /// # Panics
 ///
-/// Panics if the instance contains non-unit job sizes.
+/// Panics if the instance contains non-unit job sizes, or if a search round
+/// outgrows `u32` parent indices.
 #[must_use]
 pub fn opt_m_makespan_rational(instance: &Instance) -> usize {
     assert_unit(instance);
-    let rounds = run_search(instance);
-    if rounds[0][0].config.is_final(instance) {
-        return 0;
-    }
-    let last = rounds.len() - 1;
-    assert!(
-        rounds[last].iter().any(|n| n.config.is_final(instance)),
-        "configuration search ended without reaching a final configuration"
-    );
-    last
+    rounds(&View::rational(instance))
+        .expect("a round fits u32 parent indices")
+        .len()
+        - 1
+}
+
+/// An uncapped, uncancellable search.
+fn rounds<V: config_search::SearchUnit>(
+    view: &View<V>,
+) -> Result<Vec<config_search::Round<V>>, SearchError> {
+    let found = config_search::search(view, None, &CancelToken::never())?;
+    // lint: allow(panic_hygiene) — an uncapped search always reaches a final configuration and a never-token cannot fire
+    Ok(found.expect("an uncapped search reaches a final configuration"))
 }
 
 /// The exact algorithm for an arbitrary fixed number of processors.
@@ -438,61 +124,16 @@ impl Scheduler for OptM {
     fn schedule(&self, instance: &Instance) -> Schedule {
         assert_unit(instance);
         if let Some(scaled) = ScaledInstance::try_new(instance) {
-            if let Ok(rounds) = scaled_engine::run_search(&scaled) {
-                return scaled_engine::search_schedule(instance, &scaled, &rounds);
+            let view = View::from_scaled(&scaled);
+            if let Ok(rounds) = rounds(&view) {
+                return config_search::schedule(instance, &view, &rounds);
             }
         }
-        // The rational reference search is the fallback.
-        schedule_from_rounds(instance, &run_search(instance))
+        let view = View::rational(instance);
+        // lint: allow(panic_hygiene) — the rational search is the last resort; a round of 2^32 nodes exhausts memory first
+        let rounds = rounds(&view).expect("a round fits u32 parent indices");
+        config_search::schedule(instance, &view, &rounds)
     }
-}
-
-/// Reconstructs an optimal schedule from a finished rational search by
-/// back-tracing the winner and replaying the per-step decisions.
-pub(crate) fn schedule_from_rounds(instance: &Instance, rounds: &[Vec<Node>]) -> Schedule {
-    let last = rounds.len() - 1;
-    if last == 0 {
-        return Schedule::empty();
-    }
-    let winner = rounds[last]
-        .iter()
-        .position(|n| n.config.is_final(instance))
-        // lint: allow(panic_hygiene) — `last` is set only once its round contains a final configuration
-        .expect("search ended on a final configuration");
-
-    // Walk back through the rounds, collecting the per-step decisions.
-    let mut choices = Vec::with_capacity(last);
-    let mut round = last;
-    let mut idx = winner;
-    // lint: allow(cancel_coverage) — bounded: the back-trace visits one node per round of the already-gated search
-    while round > 0 {
-        let node = &rounds[round][idx];
-        // lint: allow(panic_hygiene) — only the choice-less initial node lives in round 0, and the walk stops there
-        choices.push(node.choice.clone().expect("non-initial node has a choice"));
-        idx = node.parent;
-        round -= 1;
-    }
-    choices.reverse();
-
-    // Replay the decisions into an explicit resource assignment.
-    let m = instance.processors();
-    let mut stepper = MultiStepper::new_rational(instance);
-    let mut shares = vec![Ratio::ZERO; m];
-    // lint: allow(cancel_coverage) — bounded: replays one already-gated search round per step
-    for choice in choices {
-        shares.fill(Ratio::ZERO);
-        // lint: allow(cancel_coverage) — bounded: a choice finishes at most m processors
-        for &i in &choice.finished {
-            shares[i] = stepper.remaining(i, 0);
-        }
-        if let Some((p, amount)) = choice.partial {
-            shares[p] = amount;
-        }
-        stepper.push_step(&shares);
-    }
-    let schedule = stepper.finish();
-    // lint: allow(panic_hygiene) — the exact engines run single-resource instances only
-    schedule.expect("single-resource runs finish to a schedule")
 }
 
 #[cfg(test)]
@@ -500,7 +141,7 @@ mod tests {
     use super::*;
     use crate::greedy_balance::GreedyBalance;
     use crate::opt_two::opt_two_makespan;
-    use cr_core::bounds;
+    use cr_core::{bounds, Ratio};
 
     #[test]
     fn matches_two_processor_dp() {
@@ -629,32 +270,35 @@ mod tests {
     #[test]
     fn cancelled_rational_search_stops_early() {
         let inst = Instance::unit_from_percentages(&[&[60, 40, 80], &[30, 90, 10]]);
+        let view = View::rational(&inst);
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
-            solve_rational_cancellable(&inst, None, false, &token),
-            Err(CancelReason::Cancelled)
+            config_search::search(&view, None, &token),
+            Err(SearchError::Cancelled {
+                reason: cr_core::CancelReason::Cancelled
+            })
         );
         // A live token reproduces the plain path exactly.
         let live = CancelToken::new();
         assert_eq!(
-            solve_rational_cancellable(&inst, None, false, &live).unwrap(),
-            solve_rational(&inst, None, false)
+            config_search::search(&view, None, &live).unwrap(),
+            Some(rounds(&view).unwrap())
         );
     }
 
     #[test]
     fn domination_is_reflexive_and_ordered() {
-        let a = Config {
-            completed: vec![2, 1],
-            spent: vec![Ratio::ZERO, Ratio::from_percent(30)],
+        let words = |completed: [u32; 2], spent: [i64; 2]| -> Vec<Ratio> {
+            let mut w: Vec<Ratio> = completed.iter().map(|&c| Ratio::from(c)).collect();
+            w.extend(spent.iter().map(|&p| Ratio::from_percent(p)));
+            w
         };
-        let b = Config {
-            completed: vec![1, 1],
-            spent: vec![Ratio::from_percent(90), Ratio::from_percent(10)],
-        };
-        assert!(a.dominates(&a));
-        assert!(a.dominates(&b));
-        assert!(!b.dominates(&a));
+        let a = words([2, 1], [0, 30]);
+        let b = words([1, 1], [90, 10]);
+        let dominates = |x: &[Ratio], y: &[Ratio]| config_search::dominates(2, 1, x, y);
+        assert!(dominates(&a, &a));
+        assert!(dominates(&a, &b));
+        assert!(!dominates(&b, &a));
     }
 }

@@ -6,10 +6,9 @@
 //! earliest time step `t` by which this can be achieved together with the
 //! smallest possible sum `r` of remaining requirements of the two frontier
 //! jobs at that time (Lemma 3 shows this pair of values is all that matters).
-//! Cells are processed diagonal by diagonal (`c₁ + c₂` increasing), exactly
-//! as in the paper's pseudo code; a sparse variant that only visits reachable
-//! cells (the priority-queue implementation sketched after Theorem 5) is
-//! provided as [`opt_two_makespan_sparse`].
+//! A sparse variant that only visits reachable cells (the priority-queue
+//! implementation sketched after Theorem 5) is provided as
+//! [`opt_two_makespan_sparse`].
 //!
 //! In every time step of a normalized optimal schedule at least one frontier
 //! job completes (Lemma 1), which leaves exactly three transitions:
@@ -20,22 +19,30 @@
 //!   leftover resource to the second processor's frontier job;
 //! * or vice versa.
 //!
-//! The hot path runs the dense DP on a flat integer table over a
-//! [`ScaledInstance`] (see the internal `scaled_engine` module); the original
-//! `Ratio`-based table is retained as [`opt_two_makespan_rational`] for
-//! cross-checking and as the overflow fallback.  The DP's cell values —
-//! one frontier requirement plus one carried leftover, each at most the
-//! capacity `D` — are exactly what the `2·D` headroom of
+//! The table is one flat `(n₁+1)·(n₂+1)` array, written once over
+//! [`StepUnit`]: `u64` units on the [`ScaledInstance`] grid (capacity `D`),
+//! or exact [`Ratio`]s with capacity 1 when the grid overflows `u64` and as
+//! [`opt_two_makespan_rational`].  Cells are filled row by row; the paper's
+//! pseudo code goes diagonal by diagonal, but both orders relax each cell
+//! from its three predecessors in the same order (both-finish, then
+//! first-finishes, then second-finishes), so ties resolve identically.  A
+//! cell value is one frontier requirement plus one carried leftover, each at
+//! most the capacity, which is exactly the `2·D` headroom
 //! [`ScaledInstance::try_new`] reserves.
 
-use crate::scaled_engine::{ScaledDpTable, DP_BOTH, DP_FIRST, DP_SECOND};
 use crate::traits::Scheduler;
-use cr_core::{CancelReason, CancelToken, Instance, MultiStepper, Ratio, ScaledInstance, Schedule};
+use cr_core::{
+    CancelReason, CancelToken, Instance, MultiStepper, Ratio, ScaledInstance, Schedule, StepUnit,
+};
 use rustc_hash::FxHashMap;
+use std::ops::Add;
 
-/// How many rational DP cells between token checks (each cell does a few
-/// `Ratio` comparisons, so the stride can be generous).
+/// How many DP cells between token checks: a cell is a few additions and
+/// comparisons, so the gate's cost is amortized over many of them.
 const DP_CHECK_STRIDE: u32 = 1024;
+
+/// Marks a cell no path has reached yet.
+const UNREACHED: u32 = u32::MAX;
 
 /// Which jobs complete in a time step of the reconstructed schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,15 +57,171 @@ pub(crate) enum Decision {
     FinishSecond,
 }
 
-/// Value stored per DP cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CellValue {
-    /// Earliest step count by which the cell's job sets can be completed.
-    t: usize,
-    /// Smallest achievable sum of remaining frontier requirements at time `t`.
-    r: Ratio,
+/// One cell of the flat table.
+#[derive(Debug, Clone, Copy)]
+struct Cell<V> {
+    /// Earliest step count reaching this cell (`UNREACHED` if none yet).
+    t: u32,
+    /// Smallest achievable sum of remaining frontier requirements at `t`.
+    r: V,
     /// Decision taken in the last step on the best path into this cell.
     decision: Option<Decision>,
+}
+
+/// The two job chains and the capacity one DP runs on.
+#[derive(Debug, Clone)]
+pub(crate) struct Chains<V> {
+    rows: [Vec<V>; 2],
+    cap: V,
+}
+
+impl Chains<u64> {
+    /// Both chains in units of the instance's grid.
+    pub(crate) fn from_scaled(scaled: &ScaledInstance) -> Self {
+        Chains {
+            rows: [scaled.row(0).to_vec(), scaled.row(1).to_vec()],
+            cap: scaled.capacity(),
+        }
+    }
+}
+
+impl Chains<Ratio> {
+    /// Both chains as exact requirements, capacity 1.
+    pub(crate) fn rational(instance: &Instance) -> Self {
+        let row = |i: usize| {
+            instance
+                .processor_jobs(i)
+                .iter()
+                .map(|job| job.requirement)
+                .collect()
+        };
+        Chains {
+            rows: [row(0), row(1)],
+            cap: Ratio::ONE,
+        }
+    }
+}
+
+impl<V: StepUnit + Add<Output = V>> Chains<V> {
+    /// Requirement of the `c`-th job (zero-based) on processor `p`, or zero
+    /// when the chain is exhausted (the paper's dummy 0-entry).
+    fn req(&self, p: usize, c: usize) -> V {
+        self.rows[p].get(c).copied().unwrap_or(V::ZERO)
+    }
+
+    /// Fills the table and back-traces the optimal decisions from the final
+    /// cell, in forward (replay) order; their count is the makespan.  Polls
+    /// `token` every [`DP_CHECK_STRIDE`] cells.
+    pub(crate) fn decisions(&self, token: &CancelToken) -> Result<Vec<Decision>, CancelReason> {
+        let _dp_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPT_TWO_DP);
+        let (n1, n2) = (self.rows[0].len(), self.rows[1].len());
+        let stride = n2 + 1;
+        let unreached = Cell {
+            t: UNREACHED,
+            r: V::ZERO,
+            decision: None,
+        };
+        let mut cells = vec![unreached; (n1 + 1) * stride];
+        cells[0] = Cell {
+            t: 0,
+            r: self.req(0, 0) + self.req(1, 0),
+            decision: None,
+        };
+        let relax = |cell: &mut Cell<V>, t: u32, r: V, decision: Decision| {
+            if cell.t == UNREACHED || t < cell.t || (t == cell.t && r < cell.r) {
+                *cell = Cell {
+                    t,
+                    r,
+                    decision: Some(decision),
+                };
+            }
+        };
+
+        // Row-major order visits every predecessor before its successors:
+        // all three transitions strictly increase (c1, c2) lexicographically.
+        let mut gate = token.gate(DP_CHECK_STRIDE);
+        for c1 in 0..=n1 {
+            for c2 in 0..=n2 {
+                gate.tick()?;
+                let cell = cells[c1 * stride + c2];
+                if cell.t == UNREACHED || (c1 == n1 && c2 == n2) {
+                    continue;
+                }
+                let (t, r) = (cell.t + 1, cell.r);
+                if c2 == n2 {
+                    let next = self.req(0, c1 + 1);
+                    relax(
+                        &mut cells[(c1 + 1) * stride + c2],
+                        t,
+                        next,
+                        Decision::FinishFirst,
+                    );
+                } else if c1 == n1 {
+                    let next = self.req(1, c2 + 1);
+                    relax(
+                        &mut cells[c1 * stride + c2 + 1],
+                        t,
+                        next,
+                        Decision::FinishSecond,
+                    );
+                } else if r <= self.cap {
+                    let next = self.req(0, c1 + 1) + self.req(1, c2 + 1);
+                    relax(
+                        &mut cells[(c1 + 1) * stride + c2 + 1],
+                        t,
+                        next,
+                        Decision::AdvanceBoth,
+                    );
+                } else {
+                    let carried = r.sub(self.cap);
+                    let first = self.req(0, c1 + 1) + carried;
+                    relax(
+                        &mut cells[(c1 + 1) * stride + c2],
+                        t,
+                        first,
+                        Decision::FinishFirst,
+                    );
+                    let second = carried + self.req(1, c2 + 1);
+                    relax(
+                        &mut cells[c1 * stride + c2 + 1],
+                        t,
+                        second,
+                        Decision::FinishSecond,
+                    );
+                }
+            }
+        }
+
+        let mut decisions = Vec::new();
+        let (mut c1, mut c2) = (n1, n2);
+        // lint: allow(cancel_coverage) — back-trace: every step decrements c1 + c2, so at most n1 + n2 iterations after the gated fill
+        while let Some(decision) = cells[c1 * stride + c2].decision {
+            decisions.push(decision);
+            match decision {
+                Decision::AdvanceBoth => {
+                    c1 -= 1;
+                    c2 -= 1;
+                }
+                Decision::FinishFirst => c1 -= 1,
+                Decision::FinishSecond => c2 -= 1,
+            }
+        }
+        debug_assert_eq!((c1, c2), (0, 0), "back-trace must reach the origin");
+        decisions.reverse();
+        Ok(decisions)
+    }
+}
+
+/// The optimal decisions on the instance's grid when it fits `u64`, with
+/// exact rationals otherwise.
+fn decisions(instance: &Instance) -> Vec<Decision> {
+    let never = CancelToken::never();
+    let result = match ScaledInstance::try_new(instance) {
+        Some(scaled) => Chains::from_scaled(&scaled).decisions(&never),
+        None => Chains::rational(instance).decisions(&never),
+    };
+    // lint: allow(panic_hygiene) — a never-token cannot fire
+    result.expect("a never token cannot fire")
 }
 
 /// Exact two-processor solver.
@@ -112,119 +275,10 @@ fn assert_two_unit_processors(instance: &Instance) {
     );
 }
 
-/// Runs the dense dynamic program and returns the full table.
-fn run_dp(instance: &Instance) -> Vec<Vec<Option<CellValue>>> {
-    run_dp_cancellable(instance, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("never-token cannot fire")
-}
-
-/// [`run_dp`] under a [`CancelToken`]: the `O(n1·n2)` diagonal sweep polls
-/// the token every [`DP_CHECK_STRIDE`] cells and stops cooperatively once
-/// it fires.
-fn run_dp_cancellable(
-    instance: &Instance,
-    token: &CancelToken,
-) -> Result<Vec<Vec<Option<CellValue>>>, CancelReason> {
-    let n1 = instance.jobs_on(0);
-    let n2 = instance.jobs_on(1);
-    let mut table: Vec<Vec<Option<CellValue>>> = vec![vec![None; n2 + 1]; n1 + 1];
-    table[0][0] = Some(CellValue {
-        t: 0,
-        r: req_or_zero(instance, 0, 0) + req_or_zero(instance, 1, 0),
-        decision: None,
-    });
-
-    let relax = |table: &mut Vec<Vec<Option<CellValue>>>,
-                 c1: usize,
-                 c2: usize,
-                 t: usize,
-                 r: Ratio,
-                 decision: Decision| {
-        let better = match &table[c1][c2] {
-            None => true,
-            Some(old) => t < old.t || (t == old.t && r < old.r),
-        };
-        if better {
-            table[c1][c2] = Some(CellValue {
-                t,
-                r,
-                decision: Some(decision),
-            });
-        }
-    };
-
-    let mut gate = token.gate(DP_CHECK_STRIDE);
-    for diag in 0..=(n1 + n2) {
-        let lo = diag.saturating_sub(n2);
-        for c1 in lo..=diag.min(n1) {
-            gate.tick()?;
-            let c2 = diag - c1;
-            let Some(cell) = table[c1][c2] else { continue };
-            let (t, r) = (cell.t, cell.r);
-
-            if c1 == n1 && c2 == n2 {
-                continue;
-            }
-            if c1 < n1 && c2 == n2 {
-                let r_next = req_or_zero(instance, 0, c1 + 1);
-                relax(&mut table, c1 + 1, c2, t + 1, r_next, Decision::FinishFirst);
-                continue;
-            }
-            if c1 == n1 && c2 < n2 {
-                let r_next = req_or_zero(instance, 1, c2 + 1);
-                relax(
-                    &mut table,
-                    c1,
-                    c2 + 1,
-                    t + 1,
-                    r_next,
-                    Decision::FinishSecond,
-                );
-                continue;
-            }
-
-            // Both processors still have a frontier job.
-            if r <= Ratio::ONE {
-                let r_next = req_or_zero(instance, 0, c1 + 1) + req_or_zero(instance, 1, c2 + 1);
-                relax(
-                    &mut table,
-                    c1 + 1,
-                    c2 + 1,
-                    t + 1,
-                    r_next,
-                    Decision::AdvanceBoth,
-                );
-            } else {
-                let carried = r - Ratio::ONE;
-                relax(
-                    &mut table,
-                    c1 + 1,
-                    c2,
-                    t + 1,
-                    req_or_zero(instance, 0, c1 + 1) + carried,
-                    Decision::FinishFirst,
-                );
-                relax(
-                    &mut table,
-                    c1,
-                    c2 + 1,
-                    t + 1,
-                    carried + req_or_zero(instance, 1, c2 + 1),
-                    Decision::FinishSecond,
-                );
-            }
-        }
-    }
-    Ok(table)
-}
-
 /// The optimal makespan for a two-processor unit-size instance, computed by
-/// the dense dynamic program of Algorithm 1.
-///
-/// Runs on the flat scaled-integer table whenever the instance's requirement
-/// denominators admit a `u64` LCM, falling back to the rational table
-/// otherwise.
+/// the dense dynamic program of Algorithm 1 — on the `u64` grid whenever the
+/// instance's requirement denominators admit a `u64` LCM, with exact
+/// rationals otherwise.
 ///
 /// # Panics
 ///
@@ -233,16 +287,11 @@ fn run_dp_cancellable(
 #[must_use]
 pub fn opt_two_makespan(instance: &Instance) -> usize {
     assert_two_unit_processors(instance);
-    match ScaledInstance::try_new(instance) {
-        Some(scaled) => ScaledDpTable::compute(&scaled).makespan(),
-        None => opt_two_makespan_rational(instance),
-    }
+    decisions(instance).len()
 }
 
-/// The original `Ratio`-arithmetic dense dynamic program (reference path).
-///
-/// Kept so property tests can cross-check the scaled table and as the
-/// fallback for instances whose denominator LCM overflows `u64`.
+/// The dense dynamic program in exact `Ratio` arithmetic (the reference the
+/// property tests cross-check the `u64` table against).
 ///
 /// # Panics
 ///
@@ -251,10 +300,10 @@ pub fn opt_two_makespan(instance: &Instance) -> usize {
 #[must_use]
 pub fn opt_two_makespan_rational(instance: &Instance) -> usize {
     assert_two_unit_processors(instance);
-    let table = run_dp(instance);
-    table[instance.jobs_on(0)][instance.jobs_on(1)]
-        .expect("final DP cell is always reachable")
-        .t
+    Chains::rational(instance)
+        .decisions(&CancelToken::never())
+        .expect("a never token cannot fire")
+        .len()
 }
 
 /// Sparse variant of [`opt_two_makespan`]: cells are held in a hash map and
@@ -286,12 +335,14 @@ pub fn opt_two_makespan_sparse(instance: &Instance) -> usize {
         }
     };
 
+    // lint: allow(cancel_coverage) — the sparse reference variant takes no token and is not reachable from the solver layer, which runs the gated dense table
     for diag in 0..=(n1 + n2) {
         let keys: Vec<(usize, usize)> = cells
             .keys()
             .copied()
             .filter(|&(c1, c2)| c1 + c2 == diag)
             .collect();
+        // lint: allow(cancel_coverage) — the sparse reference variant is not reachable from the solver layer (see above)
         for (c1, c2) in keys {
             let (t, r) = cells[&(c1, c2)];
             if c1 == n1 && c2 == n2 {
@@ -338,38 +389,11 @@ pub fn opt_two_makespan_sparse(instance: &Instance) -> usize {
     cells[&(n1, n2)].0
 }
 
-/// Back-traces the scaled DP table into the forward decision sequence (the
-/// hot path of [`OptTwo::schedule`]).
-pub(crate) fn scaled_decisions(scaled: &ScaledInstance) -> Vec<Decision> {
-    scaled_decisions_cancellable(scaled, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("never-token cannot fire")
-}
-
-/// [`scaled_decisions`] under a [`CancelToken`] (the DP fill polls it; the
-/// back-trace itself is `O(n1 + n2)`).
-pub(crate) fn scaled_decisions_cancellable(
-    scaled: &ScaledInstance,
-    token: &CancelToken,
-) -> Result<Vec<Decision>, CancelReason> {
-    Ok(ScaledDpTable::compute_cancellable(scaled, token)?
-        .decisions()
-        .into_iter()
-        .map(|byte| match byte {
-            DP_BOTH => Decision::AdvanceBoth,
-            DP_FIRST => Decision::FinishFirst,
-            DP_SECOND => Decision::FinishSecond,
-            // lint: allow(panic_hygiene) — ScaledDpTable::decisions only
-            // emits the three decision constants matched above
-            other => unreachable!("invalid DP decision byte {other}"),
-        })
-        .collect())
-}
-
 /// Replays a DP decision sequence into an explicit resource assignment,
 /// tracking the exact remaining requirement of both frontier jobs.
 pub(crate) fn replay_decisions(instance: &Instance, decisions: Vec<Decision>) -> Schedule {
     let mut stepper = MultiStepper::new_rational(instance);
+    // lint: allow(cancel_coverage) — bounded: one step per decision of the gated DP
     for decision in decisions {
         let v0 = stepper.remaining(0, 0);
         let v1 = stepper.remaining(1, 0);
@@ -394,42 +418,6 @@ pub(crate) fn replay_decisions(instance: &Instance, decisions: Vec<Decision>) ->
     schedule.expect("single-resource runs finish to a schedule")
 }
 
-/// Back-traces the rational DP table into the forward decision sequence
-/// (reference / fallback path of [`OptTwo::schedule`]).
-pub(crate) fn rational_decisions(instance: &Instance) -> Vec<Decision> {
-    rational_decisions_cancellable(instance, &CancelToken::never())
-        // lint: allow(panic_hygiene) — a never-token cannot fire
-        .expect("never-token cannot fire")
-}
-
-/// [`rational_decisions`] under a [`CancelToken`] (the DP fill polls it;
-/// the back-trace itself is `O(n1 + n2)`).
-pub(crate) fn rational_decisions_cancellable(
-    instance: &Instance,
-    token: &CancelToken,
-) -> Result<Vec<Decision>, CancelReason> {
-    let n1 = instance.jobs_on(0);
-    let n2 = instance.jobs_on(1);
-    let table = run_dp_cancellable(instance, token)?;
-    let mut decisions = Vec::new();
-    let (mut c1, mut c2) = (n1, n2);
-    while let Some(cell) = table[c1][c2] {
-        let Some(decision) = cell.decision else { break };
-        decisions.push(decision);
-        match decision {
-            Decision::AdvanceBoth => {
-                c1 -= 1;
-                c2 -= 1;
-            }
-            Decision::FinishFirst => c1 -= 1,
-            Decision::FinishSecond => c2 -= 1,
-        }
-    }
-    assert_eq!((c1, c2), (0, 0), "back-trace must reach the origin");
-    decisions.reverse();
-    Ok(decisions)
-}
-
 impl Scheduler for OptTwo {
     fn name(&self) -> &'static str {
         "OptResAssignment(m=2)"
@@ -439,11 +427,7 @@ impl Scheduler for OptTwo {
     /// back-tracing the table and replaying the per-step decisions.
     fn schedule(&self, instance: &Instance) -> Schedule {
         assert_two_unit_processors(instance);
-        let decisions = match ScaledInstance::try_new(instance) {
-            Some(scaled) => scaled_decisions(&scaled),
-            None => rational_decisions(instance),
-        };
-        replay_decisions(instance, decisions)
+        replay_decisions(instance, decisions(instance))
     }
 }
 
@@ -538,13 +522,14 @@ mod tests {
         let inst = Instance::unit_from_percentages(&chain);
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert!(rational_decisions_cancellable(&inst, &cancelled).is_err());
-        let scaled = ScaledInstance::try_new(&inst).unwrap();
-        assert!(scaled_decisions_cancellable(&scaled, &cancelled).is_err());
-        // A never-token reproduces the ungated result.
+        let rational = Chains::rational(&inst);
+        assert!(rational.decisions(&cancelled).is_err());
+        let scaled = Chains::from_scaled(&ScaledInstance::try_new(&inst).unwrap());
+        assert!(scaled.decisions(&cancelled).is_err());
+        // A never-token reproduces the ungated result on both units.
         assert_eq!(
-            rational_decisions_cancellable(&inst, &CancelToken::never()).unwrap(),
-            rational_decisions(&inst)
+            rational.decisions(&CancelToken::never()).unwrap(),
+            decisions(&inst)
         );
     }
 

@@ -71,17 +71,14 @@
 //! [`Solver::solve_cancellable`], so a dying connection also stops its
 //! in-flight work.
 
-use crate::brute_force::{brute_force_with_stats_rational_cancellable, SearchStats};
+use crate::config_search::{self, SearchError, SearchUnit, View};
 use crate::greedy_balance::GreedyBalance;
 use crate::heuristics::{
     EqualShare, LargestRequirementFirst, ProportionalShare, SmallestRequirementFirst,
 };
-use crate::multi_engine::{self, MultiView};
 use crate::multi_sched::{self, PolyKind};
-use crate::opt_m;
-use crate::opt_two;
+use crate::opt_two::{self, Chains};
 use crate::round_robin::RoundRobin;
-use crate::scaled_engine::{self, SearchError};
 use crate::OptM;
 use crate::OptTwo;
 use cr_core::scaled::layer_grid;
@@ -804,86 +801,114 @@ fn solve_polynomial(
     })
 }
 
-/// The multi-resource (`k ≥ 2`) exact path shared by `OptTwo`, `OptM` and
-/// `BruteForce`: one configuration search over per-resource capacities (see
-/// [`multi_engine`]'s module docs for the normalized step class and its
-/// exactness caveat).  Value-only — `want_schedule` is rejected with
-/// [`SolveError::ResourceMismatch`].  `max_rounds` applies to `"OptM"` just
-/// as on the scalar path; the others ignore it.
-fn solve_exact_multi(
+/// An exact answer before it becomes a [`SolveOutcome`].
+struct Found {
+    makespan: usize,
+    /// Search rounds, or the brute-force DFS's expansions.
+    rounds: usize,
+    schedule: Option<Schedule>,
+}
+
+/// The exact configuration search shared by `OptM`, `BruteForce` and the
+/// multi-resource `OptTwo` path, for every resource count: `u64` units when
+/// the preference and the grids allow it, exact rationals otherwise or when
+/// an `Auto` request's `u64` round outgrows the `u32` parent indices (every
+/// fallback recorded).  `BruteForce` runs the memoized DFS and reports its
+/// expansions as `rounds`; the others run the round search, reporting its
+/// rounds (the makespan), and `max_rounds` caps it for `"OptM"` only.
+/// Schedules are replayed at `k = 1` except for `BruteForce`, which is
+/// value-only; a `k ≥ 2` request for one is [`SolveError::ResourceMismatch`]
+/// (see the `config_search` module docs for the step class).
+fn solve_exact(
     method: &str,
     request: &SolveRequest,
     prepared: &Prepared,
     token: &CancelToken,
 ) -> Result<SolveOutcome, SolveError> {
-    reject_multi_schedule(method, request)?;
     let instance = &request.instance;
-    let round_cap = if method == "OptM" {
-        precheck_cap(
-            method,
-            BudgetKind::Rounds,
-            request.budget.max_rounds,
-            &prepared.lower_bounds,
-        )?;
-        request.budget.max_rounds
-    } else {
-        None
-    };
-    let (engine, fallbacks, result) = match (request.engine, &prepared.scaled) {
-        (EnginePreference::Scaled, None) => {
-            return Err(SolveError::ResourceOverflow {
-                method: method.to_string(),
-            })
-        }
-        (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
-            let view = MultiView::from_scaled(scaled);
-            (
-                Engine::Scaled,
-                Vec::new(),
-                multi_engine::search_cancellable(&view, round_cap, token)?,
-            )
-        }
+    if instance.resources() > 1 {
+        reject_multi_schedule(method, request)?;
+    }
+    let mut fallbacks = Vec::new();
+    let scaled = match (request.engine, &prepared.scaled) {
+        (EnginePreference::Rational, _) => None,
+        (EnginePreference::Scaled, None) => return Err(overflow_error(method, instance)),
         (EnginePreference::Auto, None) => {
-            let view = MultiView::rational(instance);
-            (
-                Engine::Rational,
-                vec![multi_grid_fallback_note()],
-                multi_engine::search_cancellable(&view, round_cap, token)?,
-            )
+            fallbacks.push(fallback_note(instance));
+            None
         }
-        (EnginePreference::Rational, _) => {
-            let view = MultiView::rational(instance);
-            (
-                Engine::Rational,
-                Vec::new(),
-                multi_engine::search_cancellable(&view, round_cap, token)?,
-            )
+        (_, Some(scaled)) => Some(scaled),
+    };
+    let mut found = None;
+    if let Some(scaled) = scaled {
+        match run_exact(method, request, &View::from_scaled(scaled), token) {
+            Err(SolveError::RoundTooLarge { round, nodes })
+                if request.engine == EnginePreference::Auto =>
+            {
+                let err = SearchError::RoundTooLarge { round, nodes };
+                fallbacks.push(format!("{err}: fell back to the rational search"));
+            }
+            result => found = Some(result?),
         }
+    }
+    let (engine, found) = match found {
+        Some(found) => (Engine::Scaled, found),
+        None => (
+            Engine::Rational,
+            run_exact(method, request, &View::rational(instance), token)?,
+        ),
     };
-    let Some(found) = result else {
-        return Err(SolveError::BudgetExhausted {
-            method: method.to_string(),
-            kind: BudgetKind::Rounds,
-            // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
-            limit: request.budget.max_rounds.expect("cap produced the cutoff"),
-        });
-    };
-    check_steps_budget(method, &request.budget, found.makespan)?;
     Ok(SolveOutcome {
         method: method.to_string(),
         engine,
         fallbacks,
         makespan: Some(found.makespan),
-        steps: 0,
-        // BruteForce reports expansions everywhere; the round-shaped
-        // searches report rounds (== makespan), matching the scalar paths.
-        rounds: if method == "BruteForce" {
-            found.expanded
-        } else {
-            found.makespan
-        },
-        schedule: None,
+        steps: found.schedule.as_ref().map_or(0, Schedule::num_steps),
+        rounds: found.rounds,
+        schedule: found.schedule,
         lower_bounds: prepared.lower_bounds,
+    })
+}
+
+/// One exact search of [`solve_exact`] on one view, with the budget checks.
+fn run_exact<V: SearchUnit>(
+    method: &str,
+    request: &SolveRequest,
+    view: &View<V>,
+    token: &CancelToken,
+) -> Result<Found, SolveError> {
+    let budget = &request.budget;
+    if method == "BruteForce" {
+        let (makespan, _, expansions) = config_search::brute_force(view, token)?;
+        check_steps_budget(method, budget, makespan)?;
+        return Ok(Found {
+            makespan,
+            rounds: expansions,
+            schedule: None,
+        });
+    }
+    let round_cap = if method == "OptM" {
+        budget.max_rounds
+    } else {
+        None
+    };
+    let Some(rounds) = config_search::search(view, round_cap, token)? else {
+        return Err(SolveError::BudgetExhausted {
+            method: method.to_string(),
+            kind: BudgetKind::Rounds,
+            // lint: allow(panic_hygiene) — the search stops short only when the max_rounds cap cut it, so the cap is present
+            limit: round_cap.expect("cap produced the cutoff"),
+        });
+    };
+    let makespan = rounds.len() - 1;
+    check_steps_budget(method, budget, makespan)?;
+    let schedule = request
+        .want_schedule
+        .then(|| config_search::schedule(&request.instance, view, &rounds));
+    Ok(Found {
+        makespan,
+        rounds: makespan,
+        schedule,
     })
 }
 
@@ -960,7 +985,7 @@ impl Solver for OptTwo {
             // The two-processor DP is single-resource; multi-resource
             // requests run the shared configuration search instead (for
             // m = 2 it explores exactly the two-processor choice space).
-            return solve_exact_multi(METHOD, request, prepared, &token);
+            return solve_exact(METHOD, request, prepared, &token);
         }
 
         let (engine, fallbacks, decisions) = match (request.engine, &prepared.scaled) {
@@ -972,17 +997,17 @@ impl Solver for OptTwo {
             (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => (
                 Engine::Scaled,
                 Vec::new(),
-                opt_two::scaled_decisions_cancellable(scaled, &token)?,
+                Chains::from_scaled(scaled).decisions(&token)?,
             ),
             (EnginePreference::Auto, None) => (
                 Engine::Rational,
                 vec![grid_fallback_note()],
-                opt_two::rational_decisions_cancellable(instance, &token)?,
+                Chains::rational(instance).decisions(&token)?,
             ),
             (EnginePreference::Rational, _) => (
                 Engine::Rational,
                 Vec::new(),
-                opt_two::rational_decisions_cancellable(instance, &token)?,
+                Chains::rational(instance).decisions(&token)?,
             ),
         };
         let makespan = decisions.len();
@@ -1038,105 +1063,7 @@ impl Solver for OptM {
             request.budget.max_rounds,
             &prepared.lower_bounds,
         )?;
-        if instance.resources() > 1 {
-            return solve_exact_multi(METHOD, request, prepared, &token);
-        }
-
-        // The scaled configuration search, budget-capped when requested and
-        // interruptible through the request's token.
-        let run_scaled = |scaled: &ScaledInstance| -> Result<
-            Option<Vec<Vec<scaled_engine::ScaledNode>>>,
-            SearchError,
-        > {
-            scaled_engine::run_search_cancellable(scaled, request.budget.max_rounds, &token)
-        };
-
-        let scaled_result = match (request.engine, &prepared.scaled) {
-            (EnginePreference::Rational, _) | (EnginePreference::Auto, None) => None,
-            (EnginePreference::Scaled, None) => {
-                return Err(SolveError::GridOverflow {
-                    method: METHOD.to_string(),
-                })
-            }
-            (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
-                Some((scaled, run_scaled(scaled)))
-            }
-        };
-
-        let mut fallbacks = Vec::new();
-        match scaled_result {
-            Some((scaled, Ok(Some(rounds)))) => {
-                let makespan = scaled_engine::search_makespan(scaled, &rounds);
-                check_steps_budget(METHOD, &request.budget, makespan)?;
-                let schedule = request
-                    .want_schedule
-                    .then(|| scaled_engine::search_schedule(instance, scaled, &rounds));
-                Ok(SolveOutcome {
-                    method: METHOD.to_string(),
-                    engine: Engine::Scaled,
-                    fallbacks,
-                    makespan: Some(makespan),
-                    steps: schedule.as_ref().map_or(0, Schedule::num_steps),
-                    rounds: rounds.len() - 1,
-                    schedule,
-                    lower_bounds: prepared.lower_bounds,
-                })
-            }
-            Some((_, Ok(None))) => {
-                // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
-                let limit = request.budget.max_rounds.expect("cap produced the cutoff");
-                Err(SolveError::BudgetExhausted {
-                    method: METHOD.to_string(),
-                    kind: BudgetKind::Rounds,
-                    limit,
-                })
-            }
-            Some((_, Err(SearchError::Cancelled { reason }))) => {
-                // A fired deadline is terminal: recovering through the (even
-                // slower) rational search would only blow through it again.
-                Err(SolveError::DeadlineExceeded { reason })
-            }
-            Some((_, Err(err))) if request.engine == EnginePreference::Scaled => {
-                Err(SolveError::from(err))
-            }
-            other => {
-                // The rational reference search: requested explicitly, the
-                // grid fallback, or the recovery from a SearchError.
-                if let Some((_, Err(err))) = other {
-                    fallbacks.push(format!("{err}: fell back to the rational search"));
-                } else if request.engine == EnginePreference::Auto {
-                    fallbacks.push(grid_fallback_note());
-                }
-                // One rational search answers both makespan and schedule;
-                // it honors the round cap too, stopping after `cap` rounds
-                // instead of running to completion.
-                let Some((makespan, schedule)) = opt_m::solve_rational_cancellable(
-                    instance,
-                    request.budget.max_rounds,
-                    request.want_schedule,
-                    &token,
-                )?
-                else {
-                    return Err(SolveError::BudgetExhausted {
-                        method: METHOD.to_string(),
-                        kind: BudgetKind::Rounds,
-                        // lint: allow(panic_hygiene) — Ok(None) is only produced when the max_rounds cap cut the search, so the cap is present
-                        limit: request.budget.max_rounds.expect("cap produced the cutoff"),
-                    });
-                };
-                check_steps_budget(METHOD, &request.budget, makespan)?;
-                Ok(SolveOutcome {
-                    method: METHOD.to_string(),
-                    engine: Engine::Rational,
-                    fallbacks,
-                    makespan: Some(makespan),
-                    steps: schedule.as_ref().map_or(0, Schedule::num_steps),
-                    rounds: makespan,
-                    schedule,
-                    lower_bounds: prepared.lower_bounds,
-                })
-            }
-        }
+        solve_exact(METHOD, request, prepared, &token)
     }
 }
 
@@ -1174,46 +1101,7 @@ impl Solver for BruteForceSolver {
             request.budget.max_steps,
             &prepared.lower_bounds,
         )?;
-        if instance.resources() > 1 {
-            return solve_exact_multi(METHOD, request, prepared, &token);
-        }
-
-        let (engine, fallbacks, makespan, stats) = match (request.engine, &prepared.scaled) {
-            (EnginePreference::Scaled, None) => {
-                return Err(SolveError::GridOverflow {
-                    method: METHOD.to_string(),
-                })
-            }
-            (EnginePreference::Scaled | EnginePreference::Auto, Some(scaled)) => {
-                let (value, states, expansions) =
-                    scaled_engine::brute_force_cancellable(scaled, &token)?;
-                (
-                    Engine::Scaled,
-                    Vec::new(),
-                    value,
-                    SearchStats { states, expansions },
-                )
-            }
-            (EnginePreference::Auto, None) => {
-                let (value, stats) = brute_force_with_stats_rational_cancellable(instance, &token)?;
-                (Engine::Rational, vec![grid_fallback_note()], value, stats)
-            }
-            (EnginePreference::Rational, _) => {
-                let (value, stats) = brute_force_with_stats_rational_cancellable(instance, &token)?;
-                (Engine::Rational, Vec::new(), value, stats)
-            }
-        };
-        check_steps_budget(METHOD, &request.budget, makespan)?;
-        Ok(SolveOutcome {
-            method: METHOD.to_string(),
-            engine,
-            fallbacks,
-            makespan: Some(makespan),
-            steps: 0,
-            rounds: stats.expansions,
-            schedule: None,
-            lower_bounds: prepared.lower_bounds,
-        })
+        solve_exact(METHOD, request, prepared, &token)
     }
 }
 
@@ -1555,11 +1443,11 @@ mod tests {
         // entry point (checked directly, below the precheck layer) stops
         // expanding at the cap instead of running to completion, and the
         // registry path reports the same structured error.
-        assert_eq!(opt_m::solve_rational(&inst, Some(1), false), None);
-        assert_eq!(
-            opt_m::solve_rational(&inst, Some(3), false),
-            Some((3, None))
-        );
+        let view = View::rational(&inst);
+        let never = CancelToken::never();
+        assert_eq!(config_search::search(&view, Some(1), &never), Ok(None));
+        let rounds = config_search::search(&view, Some(3), &never).unwrap();
+        assert_eq!(rounds.map(|rounds| rounds.len() - 1), Some(3));
         let err = registry()
             .solve(
                 &SolveRequest::new("OptM", inst)

@@ -37,13 +37,12 @@ use std::path::{Path, PathBuf};
 
 /// The hot modules whose loops must poll a `CancelGate`
 /// (workspace-relative paths).
-pub const HOT_MODULES: [&str; 7] = [
-    "crates/cr-algos/src/scaled_engine.rs",
+pub const HOT_MODULES: [&str; 6] = [
+    "crates/cr-algos/src/config_search.rs",
     "crates/cr-algos/src/frontier.rs",
     "crates/cr-algos/src/opt_m.rs",
-    "crates/cr-algos/src/subset_enum.rs",
+    "crates/cr-algos/src/opt_two.rs",
     "crates/cr-algos/src/brute_force.rs",
-    "crates/cr-algos/src/multi_engine.rs",
     "crates/cr-sim/src/engine.rs",
 ];
 

@@ -1,5 +1,5 @@
 //! Fixture crate root with no lint header at all — `crate_hygiene` must
 //! flag the missing `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 
-pub mod scaled_engine;
+pub mod config_search;
 pub mod solver;

@@ -3,5 +3,5 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod scaled_engine;
+pub mod config_search;
 pub mod solver;

@@ -50,7 +50,7 @@ fn bad_workspace_trips_every_rule() {
     // rustc-style path:line anchor.
     assert!(
         report.diagnostics.iter().any(|d| {
-            d.path == "crates/cr-algos/src/scaled_engine.rs"
+            d.path == "crates/cr-algos/src/config_search.rs"
                 && d.line == 7
                 && d.rule == "cancel_coverage"
         }),
