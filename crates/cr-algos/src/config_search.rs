@@ -448,8 +448,6 @@ pub(crate) struct Successors<V> {
     order: Vec<usize>,
     /// The finished set: the all-zero entries, then the DFS stack.
     set: Vec<usize>,
-    /// How many all-zero entries open `set`.
-    zeros: usize,
     /// Membership flags of `set` over the active entries.
     in_set: Vec<bool>,
     /// Per-layer sums of the chosen entries, `k` words per DFS depth.
@@ -510,7 +508,6 @@ impl<V: SearchUnit> Successors<V> {
                 self.order.push(e);
             }
         }
-        self.zeros = self.set.len();
 
         let (rem, order) = (&self.rem, &self.order);
         let fits_all = (0..k).all(|r| {
@@ -533,24 +530,26 @@ impl<V: SearchUnit> Successors<V> {
         self.sums.resize((self.order.len() + 1) * k, V::ZERO);
         // DFS extensions accumulate locally and flush once per expansion.
         let mut nodes = 0u64;
-        let result = self.descend(view, config, 0, gate, &mut nodes, emit);
+        let result = self.descend(view, config, 0, 0, gate, &mut nodes, emit);
         crate::obs::subset_dfs_nodes().add(nodes);
         result
     }
 
-    /// One DFS level: extends the chosen set by each later positive entry
-    /// that fits, emitting the set's successors on the way down.
+    /// One DFS level: extends the `depth` chosen entries by each later
+    /// positive entry that fits, emitting the set's successors on the way
+    /// down.
+    #[allow(clippy::too_many_arguments)]
     fn descend(
         &mut self,
         view: &View<V>,
         config: &[V],
         start: usize,
+        depth: usize,
         gate: &mut CancelGate,
         nodes: &mut u64,
         emit: &mut impl FnMut(&[V]),
     ) -> Result<(), CancelReason> {
         let k = view.resources();
-        let depth = self.set.len() - self.zeros;
         for pos in start..self.order.len() {
             gate.tick()?;
             *nodes += 1;
@@ -573,7 +572,7 @@ impl<V: SearchUnit> Successors<V> {
             self.set.push(e);
             self.in_set[e] = true;
             self.emit_set(view, config, depth + 1, gate, emit)?;
-            self.descend(view, config, pos + 1, gate, nodes, emit)?;
+            self.descend(view, config, pos + 1, depth + 1, gate, nodes, emit)?;
             self.in_set[e] = false;
             self.set.pop();
         }

@@ -842,10 +842,9 @@ fn solve_exact(
     let mut found = None;
     if let Some(scaled) = scaled {
         match run_exact(method, request, &View::from_scaled(scaled), token) {
-            Err(SolveError::RoundTooLarge { round, nodes })
+            Err(err @ SolveError::RoundTooLarge { .. })
                 if request.engine == EnginePreference::Auto =>
             {
-                let err = SearchError::RoundTooLarge { round, nodes };
                 fallbacks.push(format!("{err}: fell back to the rational search"));
             }
             result => found = Some(result?),
