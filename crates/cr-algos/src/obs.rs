@@ -13,7 +13,7 @@ fn cached(cell: &'static OnceLock<Counter>, name: &'static str) -> &'static Coun
     cell.get_or_init(|| Registry::global().counter(name))
 }
 
-/// Search rounds executed by either OPT(m) engine.
+/// Rounds executed by the configuration search, on either unit.
 pub(crate) fn optm_rounds() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     cached(&C, names::OPTM_ROUNDS)

@@ -316,6 +316,11 @@ impl PartialOrd for Ratio {
 
 impl Ord for Ratio {
     fn cmp(&self, other: &Self) -> Ordering {
+        // Equal denominators (integers, such as the configuration search's
+        // completed-job counts, among them) compare by numerator alone.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // Both denominators are positive, so cross multiplication preserves
         // the order; when a product overflows i128, the continued-fraction
         // comparison decides without multiplying.

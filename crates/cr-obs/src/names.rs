@@ -46,7 +46,7 @@ pub const NET_WORKER_PANICS: &str = "net.worker_panics";
 /// `dominates` calls made by the OPT(m) domination filter, summed over
 /// rounds (scaled and rational).
 pub const OPTM_DOMINANCE_CHECKS: &str = "optm.dominance_checks";
-/// Search rounds executed by the OPT(m) engines (scaled and rational).
+/// Rounds executed by the OPT(m) configuration search (either unit, any `k`).
 pub const OPTM_ROUNDS: &str = "optm.rounds";
 /// Frontier configurations entering the domination filter, summed over
 /// rounds.
