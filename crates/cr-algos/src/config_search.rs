@@ -16,9 +16,10 @@
 //! the unit type: each processor's completed-job count (Algorithm 2's
 //! `jᵢ(t)`), then, processor-major, what has been spent on its frontier
 //! job on every layer (`vᵢ(t)`).  A round keeps its configurations back to
-//! back in one buffer with a `u32` parent index each, and deduplicates by
-//! probing an index table with the candidate's words, so neither a
-//! duplicate nor a new successor allocates.
+//! back in one buffer with a parent index each (`u32` on the `u64` view,
+//! which keeps big rounds compact, `usize` on the [`Ratio`] view), and
+//! deduplicates by probing an index table with the candidate's words, so
+//! neither a duplicate nor a new successor allocates.
 //!
 //! # The normalized step class
 //!
@@ -88,9 +89,9 @@
 //! A large round is expanded by rayon in contiguous chunks of parents.
 //! Each chunk deduplicates locally, and the shards are merged in chunk
 //! order, which is the order a serial scan produces, so parallel runs are
-//! identical to serial ones.  A round that outgrows the `u32` parent
-//! indices is a structured [`SearchError::RoundTooLarge`]; callers on the
-//! `u64` view fall back to the rational one.
+//! identical to serial ones.  A `u64` round that outgrows the `u32` parent
+//! indices is a structured [`SearchError::RoundTooLarge`]; callers fall
+//! back to the rational view, whose `usize` parents cannot run out.
 //!
 //! At `k = 1` a schedule is replayed from the parent pointers: a step's
 //! finished processors are those whose completed count grew, and the
@@ -130,8 +131,8 @@ const MIN_PARALLEL_ROUND: usize = 256;
 /// Structured failure of the configuration search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchError {
-    /// A search round holds more configurations than `u32` parent indices
-    /// can address.
+    /// A `u64` search round holds more configurations than `u32` parent
+    /// indices can address.
     RoundTooLarge {
         /// The 0-based round whose node count overflowed.
         round: usize,
@@ -176,6 +177,9 @@ pub(crate) trait SearchUnit: StepUnit + Hash + Default + Send + Sync {
     /// insertion order); see the module docs.
     const KEEP_PROCESSING_ORDER: bool;
 
+    /// A round's index into the previous round.
+    type Parent: ParentIndex;
+
     /// A completed-job count as a configuration word.
     fn from_count(count: usize) -> Self;
 
@@ -189,6 +193,7 @@ pub(crate) trait SearchUnit: StepUnit + Hash + Default + Send + Sync {
 
 impl SearchUnit for u64 {
     const KEEP_PROCESSING_ORDER: bool = true;
+    type Parent = u32;
 
     fn from_count(count: usize) -> Self {
         count as u64
@@ -214,6 +219,7 @@ impl SearchUnit for u64 {
 
 impl SearchUnit for Ratio {
     const KEEP_PROCESSING_ORDER: bool = false;
+    type Parent = usize;
 
     fn from_count(count: usize) -> Self {
         Ratio::from_integer(count as i64)
@@ -234,6 +240,44 @@ impl SearchUnit for Ratio {
                 .then(a.cmp(&b))
         });
         order.into_iter().map(|(_, i)| i).collect()
+    }
+}
+
+/// A parent index: `u32` keeps a `u64` round compact, `usize` never runs
+/// out.  The maximum value marks the initial configuration, which has no
+/// parent.
+pub(crate) trait ParentIndex: Copy + Eq + fmt::Debug + Send + Sync {
+    /// The initial configuration's parent.
+    const NONE: Self;
+
+    /// `index` as a parent, or `None` when it does not fit.
+    fn from_index(index: usize) -> Option<Self>;
+
+    /// The index into the previous round.
+    fn index(self) -> usize;
+}
+
+impl ParentIndex for u32 {
+    const NONE: Self = u32::MAX;
+
+    fn from_index(index: usize) -> Option<Self> {
+        u32::try_from(index).ok()
+    }
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl ParentIndex for usize {
+    const NONE: Self = usize::MAX;
+
+    fn from_index(index: usize) -> Option<Self> {
+        Some(index)
+    }
+
+    fn index(self) -> usize {
+        self
     }
 }
 
@@ -345,12 +389,13 @@ pub(crate) fn dominates<V: Ord>(m: usize, k: usize, a: &[V], b: &[V]) -> bool {
 }
 
 /// One search round: configurations back to back plus their parents'
-/// indices in the previous round (`u32::MAX` for the initial one).
+/// indices in the previous round ([`ParentIndex::NONE`] for the initial
+/// one).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Round<V> {
+pub(crate) struct Round<V: SearchUnit> {
     width: usize,
     words: Vec<V>,
-    parents: Vec<u32>,
+    parents: Vec<V::Parent>,
 }
 
 impl<V: SearchUnit> Round<V> {
@@ -370,11 +415,11 @@ impl<V: SearchUnit> Round<V> {
         &self.words[index * self.width..(index + 1) * self.width]
     }
 
-    pub(crate) fn parent(&self, index: usize) -> u32 {
+    pub(crate) fn parent(&self, index: usize) -> V::Parent {
         self.parents[index]
     }
 
-    pub(crate) fn push(&mut self, config: &[V], parent: u32) {
+    pub(crate) fn push(&mut self, config: &[V], parent: V::Parent) {
         self.words.extend_from_slice(config);
         self.parents.push(parent);
     }
@@ -399,7 +444,7 @@ fn hash_words<V: Hash>(words: &[V]) -> usize {
 impl Dedup {
     /// Appends `config` to `round` unless an equal configuration is
     /// already there (the first representative wins).
-    fn insert<V: SearchUnit>(&mut self, round: &mut Round<V>, config: &[V], parent: u32) {
+    fn insert<V: SearchUnit>(&mut self, round: &mut Round<V>, config: &[V], parent: V::Parent) {
         if 2 * (round.len() + 1) > self.slots.len() {
             self.rebuild(round, (2 * self.slots.len()).max(64));
         }
@@ -683,8 +728,8 @@ fn expand<V: SearchUnit>(
     let mut dedup = Dedup::default();
     let mut out = Round::new(prev.width);
     for parent in range {
-        // Rounds are admitted only while their size fits u32.
-        let index = u32::try_from(parent).unwrap_or(u32::MAX);
+        // Rounds are admitted only while their indices fit the parent type.
+        let index = V::Parent::from_index(parent).unwrap_or(V::Parent::NONE);
         successors.for_each(view, prev.config(parent), &mut gate, &mut |next| {
             dedup.insert(&mut out, next, index);
         })?;
@@ -700,8 +745,8 @@ fn expand<V: SearchUnit>(
 ///
 /// # Errors
 ///
-/// [`SearchError::RoundTooLarge`] when a round outgrows the `u32` parent
-/// indices, [`SearchError::Cancelled`] when the token fired.
+/// [`SearchError::RoundTooLarge`] when a `u64` round outgrows the `u32`
+/// parent indices, [`SearchError::Cancelled`] when the token fired.
 pub(crate) fn search<V: SearchUnit>(
     view: &View<V>,
     round_cap: Option<usize>,
@@ -722,7 +767,7 @@ pub(crate) fn search_chunked<V: SearchUnit>(
     let _search_span = cr_obs::Span::enter(cr_obs::names::SPAN_OPTM_SEARCH);
     let (m, k) = (view.processors(), view.resources());
     let mut initial = Round::new(view.width());
-    initial.push(&vec![V::ZERO; view.width()], u32::MAX);
+    initial.push(&vec![V::ZERO; view.width()], V::Parent::NONE);
     let mut rounds = vec![initial];
     if view.is_final(rounds[0].config(0)) {
         return Ok(Some(rounds));
@@ -766,8 +811,8 @@ pub(crate) fn search_chunked<V: SearchUnit>(
             }
             merged
         };
-        // The next round's parent indices are u32.
-        if u32::try_from(next.len()).is_err() {
+        // The round after this one must be able to point into it.
+        if V::Parent::from_index(next.len()).is_none() {
             return Err(SearchError::RoundTooLarge {
                 round: rounds.len(),
                 nodes: next.len(),
@@ -832,7 +877,7 @@ pub(crate) fn schedule<V: SearchUnit>(
     let mut path = vec![winner; last + 1];
     // lint: allow(cancel_coverage) — bounded: one node per round of the already-gated search
     for t in (1..=last).rev() {
-        path[t - 1] = rounds[t].parent(path[t]) as usize;
+        path[t - 1] = rounds[t].parent(path[t]).index();
     }
     let m = view.processors();
     let mut stepper = MultiStepper::new_rational(instance);
@@ -962,6 +1007,24 @@ pub(crate) mod tests {
 
     fn never() -> CancelToken {
         CancelToken::never()
+    }
+
+    /// Only the `u64` view's `u32` parents can run out, so the rational
+    /// fallback of a too-large round always has room.
+    #[test]
+    fn only_u32_parent_indices_run_out() {
+        let last = u32::MAX as usize;
+        assert_eq!(
+            <u32 as ParentIndex>::from_index(last - 1),
+            Some(u32::MAX - 1)
+        );
+        assert_eq!(<u32 as ParentIndex>::from_index(last), Some(u32::NONE));
+        assert_eq!(<u32 as ParentIndex>::from_index(last + 1), None);
+        assert_eq!(<usize as ParentIndex>::from_index(last + 1), Some(last + 1));
+        assert_eq!(
+            <<Ratio as SearchUnit>::Parent as ParentIndex>::index(last + 1),
+            last + 1
+        );
     }
 
     /// A round's configurations as exact words: counts as they are,

@@ -147,7 +147,7 @@ impl<C: Copy + Ord> DominanceFilter<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config_search::{dominates, Round, SearchUnit};
+    use crate::config_search::{dominates, ParentIndex, Round, SearchUnit};
     use cr_core::{CancelToken, Ratio};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -204,7 +204,7 @@ mod tests {
         let order_of = |cands: &[Vec<V>]| {
             let mut round = Round::new(m * (1 + k));
             for c in cands {
-                round.push(c, 0);
+                round.push(c, ParentIndex::NONE);
             }
             V::processing_order(&round, m)
         };

@@ -21,7 +21,7 @@
 
 use crate::config_search::{self, SearchError, View};
 use crate::traits::Scheduler;
-use cr_core::{CancelToken, Instance, ScaledInstance, Schedule};
+use cr_core::{CancelToken, Instance, Ratio, ScaledInstance, Schedule};
 
 fn assert_unit(instance: &Instance) {
     assert!(
@@ -74,15 +74,11 @@ pub fn try_opt_m_makespan(instance: &Instance) -> Result<usize, SearchError> {
 ///
 /// # Panics
 ///
-/// Panics if the instance contains non-unit job sizes, or if a search round
-/// outgrows `u32` parent indices.
+/// Panics if the instance contains non-unit job sizes.
 #[must_use]
 pub fn opt_m_makespan_rational(instance: &Instance) -> usize {
     assert_unit(instance);
-    rounds(&View::rational(instance))
-        .expect("a round fits u32 parent indices")
-        .len()
-        - 1
+    rational_rounds(&View::rational(instance)).len() - 1
 }
 
 /// An uncapped, uncancellable search.
@@ -92,6 +88,12 @@ fn rounds<V: config_search::SearchUnit>(
     let found = config_search::search(view, None, &CancelToken::never())?;
     // lint: allow(panic_hygiene) — an uncapped search always reaches a final configuration and a never-token cannot fire
     Ok(found.expect("an uncapped search reaches a final configuration"))
+}
+
+/// [`rounds`] on the rational view, which cannot fail.
+fn rational_rounds(view: &View<Ratio>) -> Vec<config_search::Round<Ratio>> {
+    // lint: allow(panic_hygiene) — the rational view's usize parent indices never run out, so the only error cannot occur
+    rounds(view).expect("usize parent indices never run out")
 }
 
 /// The exact algorithm for an arbitrary fixed number of processors.
@@ -130,9 +132,7 @@ impl Scheduler for OptM {
             }
         }
         let view = View::rational(instance);
-        // lint: allow(panic_hygiene) — the rational search is the last resort; a round of 2^32 nodes exhausts memory first
-        let rounds = rounds(&view).expect("a round fits u32 parent indices");
-        config_search::schedule(instance, &view, &rounds)
+        config_search::schedule(instance, &view, &rational_rounds(&view))
     }
 }
 

@@ -813,12 +813,14 @@ struct Found {
 /// multi-resource `OptTwo` path, for every resource count: `u64` units when
 /// the preference and the grids allow it, exact rationals otherwise or when
 /// an `Auto` request's `u64` round outgrows the `u32` parent indices (every
-/// fallback recorded).  `BruteForce` runs the memoized DFS and reports its
-/// expansions as `rounds`; the others run the round search, reporting its
-/// rounds (the makespan), and `max_rounds` caps it for `"OptM"` only.
-/// Schedules are replayed at `k = 1` except for `BruteForce`, which is
-/// value-only; a `k ≥ 2` request for one is [`SolveError::ResourceMismatch`]
-/// (see the `config_search` module docs for the step class).
+/// fallback recorded).  `BruteForce` runs the memoized DFS at `k = 1` and
+/// the round search at `k ≥ 2`, where the DFS without Lemma 4's filter
+/// visits far more states, and reports the expanded configurations as
+/// `rounds` either way; the others report the search's rounds (the
+/// makespan), and `max_rounds` caps it for `"OptM"` only.  Schedules are
+/// replayed at `k = 1` except for `BruteForce`, which is value-only; a
+/// `k ≥ 2` request for one is [`SolveError::ResourceMismatch`] (see the
+/// `config_search` module docs for the step class).
 fn solve_exact(
     method: &str,
     request: &SolveRequest,
@@ -877,7 +879,7 @@ fn run_exact<V: SearchUnit>(
     token: &CancelToken,
 ) -> Result<Found, SolveError> {
     let budget = &request.budget;
-    if method == "BruteForce" {
+    if method == "BruteForce" && view.resources() == 1 {
         let (makespan, _, expansions) = config_search::brute_force(view, token)?;
         check_steps_budget(method, budget, makespan)?;
         return Ok(Found {
@@ -901,6 +903,16 @@ fn run_exact<V: SearchUnit>(
     };
     let makespan = rounds.len() - 1;
     check_steps_budget(method, budget, makespan)?;
+    if method == "BruteForce" {
+        return Ok(Found {
+            makespan,
+            rounds: rounds[..makespan]
+                .iter()
+                .map(config_search::Round::len)
+                .sum(),
+            schedule: None,
+        });
+    }
     let schedule = request
         .want_schedule
         .then(|| config_search::schedule(&request.instance, view, &rounds));
